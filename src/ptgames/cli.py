@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -59,8 +59,6 @@ from .smartgrid import (
 )
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
-
-THREADS_ENV = "PTGAMES_THREADS"
 
 _CSV_COLUMNS = ("player", "stage", "state", "action", "probability")
 
@@ -353,8 +351,8 @@ def load_config(path) -> RunConfig:
                 f"run.x[{k}]: state {v} outside 0..{p.state_count - 1}"
             )
     epsilon = _as_number(_require(run, "epsilon", "run"), "run.epsilon")
-    if epsilon <= 0.0:
-        raise ConfigError(f"run.epsilon: must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ConfigError(f"run.epsilon: must be positive and finite, got {epsilon}")
     mode = run.get("mode", "grid")
     if mode not in ("grid", "sampled"):
         raise ConfigError(f"run.mode: expected 'grid' or 'sampled', got {mode!r}")
@@ -535,19 +533,16 @@ def _outdir(args) -> Path:
 
 def _search_settings(cfg: RunConfig, args) -> tuple:
     epsilon = cfg.epsilon if args.epsilon is None else args.epsilon
-    if epsilon <= 0.0:
-        raise ConfigError(f"--epsilon: must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ConfigError(f"--epsilon: must be positive and finite, got {epsilon}")
     mode = cfg.mode if args.mode is None else args.mode
     seed = cfg.seed if args.seed is None else args.seed
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if threads < 1:
-        threads = 1
-    return epsilon, mode, seed, threads
+    return epsilon, mode, seed
 
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    epsilon, mode, seed, threads = _search_settings(cfg, args)
+    epsilon, mode, seed = _search_settings(cfg, args)
     outdir = _outdir(args)
     search_cfg = SearchConfig(
         epsilon=epsilon,
@@ -557,7 +552,6 @@ def _cmd_solve(args) -> int:
         rng_seed=seed,
         horizon=cfg.horizon,
         refinement_cap=cfg.refinement_cap,
-        threads=threads,
     )
     run = search_grid if mode == "grid" else search_sampled
     started = time.perf_counter()
@@ -585,7 +579,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_certify(args) -> int:
     cfg = load_config(args.config)
-    epsilon, mode, _seed, _threads = _search_settings(cfg, args)
+    epsilon, mode, _seed = _search_settings(cfg, args)
     outdir = _outdir(args)
     profile = _profile_from_csv(args.profile, cfg.game)
     horizon = cfg.horizon
@@ -684,7 +678,7 @@ def _cmd_build_smartgrid(args) -> int:
 
 def _cmd_bound(args) -> int:
     cfg = load_config(args.config)
-    epsilon, _mode, _seed, _threads = _search_settings(cfg, args)
+    epsilon, _mode, _seed = _search_settings(cfg, args)
     params = truncation_horizon(epsilon, cfg.game)
     tail = truncation_error_bound(cfg.game, params.horizon)
     print(f"epsilon: {_fmt(epsilon)}")

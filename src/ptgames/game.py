@@ -343,7 +343,7 @@ class ValidatedGame:
     (state, action) tuples on the columns, both in lexicographic order
     (players ascending, then state, then action).  ``value_bounds[i]`` is the
     exact maximum of |v_i(r_i)| over the whole product space.  All arrays are
-    read-only, so instances are safe to share across threads.
+    read-only, so instances are safe to share.
     """
 
     players: tuple

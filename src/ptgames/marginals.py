@@ -39,6 +39,26 @@ _DIST_TOL = 1e-12
 FLOW_TOL = 1e-9
 
 
+def _distribution_problem(dist: np.ndarray):
+    """Why the rows along the last axis of ``dist`` are not all probability
+    distributions, as ``(reason, index of the row)``; None when they are.
+
+    A row must hold finite, nonnegative entries summing to 1 within 1e-12.
+    Non-finite entries are reported first (NaN passes every comparison),
+    then negative ones, then the row whose sum is furthest off.
+    """
+    for bad, reason in ((~np.isfinite(dist), "non-finite"), (dist < 0.0, "negative")):
+        rows = np.any(bad, axis=-1)
+        if np.any(rows):
+            row = np.unravel_index(np.argmax(rows), rows.shape)
+            return f"{reason} probability {dist[row][bad[row]][0]:.12g}", row
+    error = np.abs(dist.sum(axis=-1) - 1.0)
+    if np.any(error > _DIST_TOL):
+        row = np.unravel_index(np.argmax(error), error.shape)
+        return f"action distribution sums to {dist[row].sum():.12g}", row
+    return None
+
+
 @dataclass(frozen=True)
 class MarkovStrategy:
     """Randomized Markov strategy of one player over a finite stage range.
@@ -55,15 +75,10 @@ class MarkovStrategy:
         arr = np.array(self.dist, dtype=float)
         if arr.ndim != 3:
             raise ValueError(f"strategy needs shape (horizon, S, A), got {arr.shape}")
-        if np.any(arr < 0.0):
-            raise ValueError("strategy contains negative probabilities")
-        sums = arr.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > _DIST_TOL):
-            worst = np.unravel_index(np.argmax(np.abs(sums - 1.0)), sums.shape)
-            raise ValueError(
-                f"action distribution sums to {sums[worst]:.12g} at "
-                f"(t={worst[0] + 1}, s={worst[1]})"
-            )
+        problem = _distribution_problem(arr)
+        if problem is not None:
+            reason, (t, s) = problem
+            raise ValueError(f"{reason} at (t={t + 1}, s={s})")
         arr.setflags(write=False)
         object.__setattr__(self, "dist", arr)
 

@@ -10,12 +10,16 @@ fixed order; ``search_sampled`` draws candidates uniformly without
 replacement from the same grid (the only option when the grid is too large
 or no Lipschitz step is available).  Both halve the lattice step and retry
 when a level is exhausted, up to a refinement cap.
+
+Both searches certify candidates in blocks of per-cell index rows: one
+batched pass computes every row's gaps with the same operations ``certify``
+applies to one profile.  Only the winning row is turned into a profile and
+re-certified by ``certify``, so every returned certificate comes from it.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +27,7 @@ import numpy as np
 from .best_response import backward_induction, induced_stage_rewards
 from .criterion import pt_payoff, truncation_horizon
 from .game import ValidatedGame
-from .marginals import MarkovStrategy, forward_marginals
+from .marginals import MarkovStrategy, _distribution_problem, forward_marginals
 
 __all__ = [
     "GridTooLargeError",
@@ -42,6 +46,11 @@ __all__ = [
 # Numerical slack on the pass condition; gaps are differences of values
 # computed through the same tables, so anything beyond a few ulp is real.
 PASS_SLACK = 1e-12
+
+# A certification block holds at most this many elements of the widest
+# opponent-tuple vector (rows x tuples), which bounds the batched kernel's
+# working set whatever the game's width.
+_BLOCK_ELEMENTS = 2**14
 
 
 class GridTooLargeError(RuntimeError):
@@ -86,11 +95,10 @@ class SearchConfig:
     rng_seed: int = 0
     horizon: int | None = None
     refinement_cap: int = 6
-    threads: int = 1
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.initial_delta < 1.0:
             raise ValueError(
                 f"initial grid step must lie in (0,1), got {self.initial_delta}"
@@ -101,8 +109,6 @@ class SearchConfig:
             raise ValueError("max_candidates must be positive")
         if self.refinement_cap < 0:
             raise ValueError("refinement_cap must be >= 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -179,9 +185,13 @@ class ProfileGrid:
         self._options = {}
         for p in game.players:
             if p.action_count not in self._options:
-                self._options[p.action_count] = simplex_grid(
-                    p.action_count, self.delta
-                )
+                options = simplex_grid(p.action_count, self.delta)
+                # the batched kernel reads these rows without building a
+                # MarkovStrategy, so they get the strategy rule here, once
+                problem = _distribution_problem(options)
+                if problem is not None:
+                    raise ValueError(f"lattice row {problem[1][0]}: {problem[0]}")
+                self._options[p.action_count] = options
         self.cell_sizes = []
         for p in game.players:
             size = len(self._options[p.action_count])
@@ -233,18 +243,31 @@ def grid_profiles(
     return grid
 
 
-def sampled_profile_indices(grid: ProfileGrid, rng: np.random.Generator, limit: int):
-    """Yield distinct per-cell index tuples drawn uniformly from ``grid``:
-    at most ``limit``, fewer when the grid is exhausted first.
+def _unravel(flat: np.ndarray, grid: ProfileGrid) -> np.ndarray:
+    """Per-cell index rows of the profiles at enumeration positions ``flat``."""
+    return np.stack(np.unravel_index(flat, grid.cell_sizes), axis=1)
 
-    Small grids are shuffled whole; larger ones use rejection against a
-    visited set (uniform per-cell draws are uniform over the product).  The
-    sequence is fully determined by the generator state.
+
+def _grid_blocks(grid: ProfileGrid, rows: int):
+    """Every profile of ``grid`` in enumeration order, ``rows`` at a time."""
+    for start in range(0, grid.total_profiles, rows):
+        stop = min(start + rows, grid.total_profiles)
+        yield _unravel(np.arange(start, stop), grid)
+
+
+def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, rows: int):
+    """The draws of :func:`sampled_profile_indices`, at most ``rows`` at a time.
+
+    A block of ``m`` rows comes from one ``rng.integers`` call of size
+    (m, cells), which yields the same numbers as ``m`` single draws; ``m``
+    never exceeds the draws the budget or the attempt cap has left, so the
+    generator stops where per-draw sampling stops.  The sequence is thus the
+    same for every ``rows``.
     """
     if grid.total_profiles <= limit:
-        everything = list(grid.index_tuples())
-        for pos in rng.permutation(len(everything)):
-            yield everything[pos]
+        order = rng.permutation(grid.total_profiles)
+        for start in range(0, len(order), rows):
+            yield _unravel(order[start : start + rows], grid)
         return
     highs = np.array(grid.cell_sizes)
     visited = set()
@@ -253,13 +276,30 @@ def sampled_profile_indices(grid: ProfileGrid, rng: np.random.Generator, limit: 
     # The attempt cap only matters when the grid barely exceeds the limit and
     # collisions pile up; the draw sequence stays deterministic either way.
     while produced < limit and attempts < 20 * limit:
-        attempts += 1
-        candidate = tuple(int(v) for v in rng.integers(0, highs))
-        if candidate in visited:
-            continue
-        visited.add(candidate)
-        produced += 1
-        yield candidate
+        m = min(rows, limit - produced, 20 * limit - attempts)
+        draws = rng.integers(0, highs, size=(m, len(highs)))
+        attempts += m
+        fresh = []
+        for r, candidate in enumerate(map(tuple, draws.tolist())):
+            if candidate not in visited:
+                visited.add(candidate)
+                fresh.append(r)
+        produced += len(fresh)
+        if fresh:
+            yield draws[fresh]
+
+
+def sampled_profile_indices(grid: ProfileGrid, rng: np.random.Generator, limit: int):
+    """Yield distinct per-cell index tuples drawn uniformly from ``grid``:
+    at most ``limit``, fewer when the grid is exhausted first.
+
+    Small grids are shuffled whole; larger ones use rejection against a
+    visited set (uniform per-cell draws are uniform over the product).  The
+    sequence is fully determined by the generator state, which advances one
+    draw per rejection attempt as the tuples are consumed.
+    """
+    for block in _sampled_blocks(grid, rng, limit, rows=1):
+        yield from map(tuple, block.tolist())
 
 
 def certify(
@@ -278,11 +318,7 @@ def certify(
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    x = tuple(int(v) for v in initial_state)
-    if len(x) != game.n:
-        raise ValueError(
-            f"initial state has {len(x)} components, game has {game.n} players"
-        )
+    x = _initial_state(game, initial_state)
     profile = tuple(profile)
     if len(profile) != game.n:
         raise ValueError(
@@ -309,6 +345,74 @@ def certify(
     )
 
 
+def _initial_state(game: ValidatedGame, initial_state) -> tuple:
+    x = tuple(int(v) for v in initial_state)
+    if len(x) != game.n:
+        raise ValueError(
+            f"initial state has {len(x)} components, game has {game.n} players"
+        )
+    for i, (s, p) in enumerate(zip(x, game.players)):
+        if not 0 <= s < p.state_count:
+            raise ValueError(
+                f"initial state {s} of player {i} outside 0..{p.state_count - 1}"
+            )
+    return x
+
+
+def _block_values(
+    game: ValidatedGame, grid: ProfileGrid, block: np.ndarray, initial_state: tuple, horizon: int
+):
+    """Values and best-response values, each of shape (rows, players), of the
+    lattice profiles whose per-cell indices are the rows of ``block``.
+
+    ``certify`` with a leading batch axis: stage marginals, opponent weights
+    (one weighting call per player and stage for the whole block), induced
+    rewards, values and backward induction.  The reward and value products
+    run as one matrix-vector product per row, the BLAS call ``certify``
+    makes, not as one matrix product per block, whose rounding depends on a
+    row's position in the block.  Rows with identical inputs thus get
+    identical results in any block, so ties break as in a per-candidate scan.
+    """
+    rows = len(block)
+    tables = []  # per player: (rows, horizon, S*A) stage marginals
+    start = 0
+    for i, p in enumerate(game.players):
+        S, A = p.state_count, p.action_count
+        cells = block[:, start : start + horizon * S]
+        start += horizon * S
+        dist = grid.distributions(i)[cells].reshape(rows, horizon, S, A)
+        probs = np.zeros((rows, horizon, S, A))
+        x = initial_state[i]
+        probs[:, 0, x] = dist[:, 0, x]
+        for k in range(horizon - 1):
+            mass = np.einsum("bsa,sap->bp", probs[:, k], game.kernel(i, k))
+            probs[:, k + 1] = mass[:, :, np.newaxis] * dist[:, k + 1]
+        tables.append(probs.reshape(rows, horizon, S * A))
+    values = np.empty((rows, game.n))
+    best_values = np.empty((rows, game.n))
+    for i, p in enumerate(game.players):
+        rewards = np.empty((rows, horizon, p.state_count * p.action_count))
+        contributions = np.empty((rows, horizon))
+        discount = 1.0
+        for k in range(horizon):
+            # opponent tuples in opponent_weight_vector's order
+            tuples = np.ones((rows, 1))
+            for j in range(game.n):
+                if j != i:
+                    tuples = (tuples[:, :, np.newaxis] * tables[j][:, k, np.newaxis]).reshape(rows, -1)
+            payoff = game.valued_payoffs[i] @ p.weighting(tuples)[:, :, np.newaxis]
+            rewards[:, k] = discount * payoff[:, :, 0]
+            contributions[:, k] = discount * (tables[i][:, k, np.newaxis] @ payoff)[:, 0, 0]
+            discount *= game.discount_beta
+        q = rewards.reshape(rows, horizon, p.state_count, p.action_count)
+        best = q[:, -1].max(axis=2)
+        for k in range(horizon - 2, -1, -1):
+            best = (q[:, k] + np.einsum("sap,bp->bsa", game.kernel(i, k), best)).max(axis=2)
+        values[:, i] = contributions.sum(axis=1)
+        best_values[:, i] = best[:, initial_state[i]]
+    return values, best_values
+
+
 def _resolve_horizon(game: ValidatedGame, config: SearchConfig) -> int:
     if config.horizon is not None:
         if config.horizon < 1:
@@ -317,13 +421,50 @@ def _resolve_horizon(game: ValidatedGame, config: SearchConfig) -> int:
     return truncation_horizon(config.epsilon, game).horizon
 
 
-def _chunks(iterable, size: int):
-    iterator = iter(iterable)
-    while True:
-        block = list(itertools.islice(iterator, size))
-        if not block:
-            return
-        yield block
+def _search(game: ValidatedGame, initial_state, config: SearchConfig, blocks, cap):
+    """The level loop of both searches.
+
+    ``blocks(grid, rows)`` yields a level's candidates as per-cell index
+    arrays of at most ``rows`` rows, in the order candidates are adjudicated;
+    ``cap`` bounds each level's grid size (None for no bound).  Rows the
+    kernel passes are re-certified by ``certify`` in order, and the first
+    that passes there wins; on exhaustion the first candidate with the
+    smallest worst gap is re-certified and carried by the error.
+    """
+    x = _initial_state(game, initial_state)
+    horizon = _resolve_horizon(game, config)
+    widest = max(game.opponent_pair_count(i) for i in range(game.n))
+    rows = max(1, _BLOCK_ELEMENTS // widest)
+    allowance = config.epsilon / 3.0 + PASS_SLACK
+    examined = 0
+    best = None  # (worst gap, grid, indices)
+    resolution = None
+    for _level in range(config.refinement_cap + 1):
+        delta = config.initial_delta if resolution is None else 1.0 / resolution
+        grid = grid_profiles(delta, game, horizon, cap=cap)
+        resolution = 2 * grid.resolution
+        for block in blocks(grid, rows):
+            values, best_values = _block_values(game, grid, block, x, horizon)
+            worst = (best_values - values).max(axis=1)
+            for r in np.flatnonzero(worst <= allowance):
+                cert = certify(game, grid.profile_at(block[r]), x, horizon, config.epsilon)
+                if cert.passed:
+                    return replace(
+                        cert, candidates_examined=examined + int(r) + 1, final_delta=grid.delta
+                    )
+            r = int(np.argmin(worst))
+            if best is None or worst[r] < best[0]:
+                best = (worst[r], grid, block[r])
+            examined += len(block)
+    cert = None
+    if best is not None:
+        _, grid, indices = best
+        cert = replace(
+            certify(game, grid.profile_at(indices), x, horizon, config.epsilon),
+            candidates_examined=examined,
+            final_delta=2.0 / resolution,
+        )
+    raise EquilibriumNotFoundError(cert, config.refinement_cap + 1)
 
 
 def search_grid(
@@ -335,49 +476,8 @@ def search_grid(
     Raises :class:`GridTooLargeError` when a level cannot be enumerated
     within ``max_candidates`` and :class:`EquilibriumNotFoundError` when the
     refinement cap runs out (the latter carries the best candidate seen).
-    With ``threads`` > 1 candidates are certified in parallel chunks, but the
-    reported certificate is still the first passing one in enumeration order.
     """
-    horizon = _resolve_horizon(game, config)
-    examined = 0
-    best = None
-    resolution = None
-    for _level in range(config.refinement_cap + 1):
-        delta = config.initial_delta if resolution is None else 1.0 / resolution
-        grid = grid_profiles(delta, game, horizon, cap=config.max_candidates)
-        resolution = 2 * grid.resolution
-
-        def _run(indices):
-            return certify(game, grid.profile_at(indices), initial_state, horizon, config.epsilon)
-
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                for block in _chunks(grid.index_tuples(), 16 * config.threads):
-                    for cert in pool.map(_run, block):
-                        examined += 1
-                        if best is None or np.max(cert.gaps) < np.max(best.gaps):
-                            best = cert
-                        if cert.passed:
-                            return replace(
-                                cert,
-                                candidates_examined=examined,
-                                final_delta=grid.delta,
-                            )
-        else:
-            for indices in grid.index_tuples():
-                cert = _run(indices)
-                examined += 1
-                if best is None or np.max(cert.gaps) < np.max(best.gaps):
-                    best = cert
-                if cert.passed:
-                    return replace(
-                        cert, candidates_examined=examined, final_delta=grid.delta
-                    )
-    if best is not None:
-        best = replace(
-            best, candidates_examined=examined, final_delta=2.0 / resolution
-        )
-    raise EquilibriumNotFoundError(best, config.refinement_cap + 1)
+    return _search(game, initial_state, config, _grid_blocks, cap=config.max_candidates)
 
 
 def search_sampled(
@@ -392,27 +492,8 @@ def search_sampled(
     refinement cap runs out.
     """
     rng = np.random.default_rng(config.rng_seed)
-    horizon = _resolve_horizon(game, config)
-    examined = 0
-    best = None
-    resolution = None
-    for _level in range(config.refinement_cap + 1):
-        delta = config.initial_delta if resolution is None else 1.0 / resolution
-        grid = ProfileGrid(game, horizon, delta)
-        resolution = 2 * grid.resolution
-        for indices in sampled_profile_indices(grid, rng, config.max_candidates):
-            cert = certify(
-                game, grid.profile_at(indices), initial_state, horizon, config.epsilon
-            )
-            examined += 1
-            if best is None or np.max(cert.gaps) < np.max(best.gaps):
-                best = cert
-            if cert.passed:
-                return replace(
-                    cert, candidates_examined=examined, final_delta=grid.delta
-                )
-    if best is not None:
-        best = replace(
-            best, candidates_examined=examined, final_delta=2.0 / resolution
-        )
-    raise EquilibriumNotFoundError(best, config.refinement_cap + 1)
+
+    def blocks(grid, rows):
+        return _sampled_blocks(grid, rng, config.max_candidates, rows)
+
+    return _search(game, initial_state, config, blocks, cap=None)

@@ -142,3 +142,25 @@ def classical_joint_value(game, profile, initial_state, horizon, player):
         for (s, a), p in joint.items():
             total += beta**k * p * game.payoff(player, s, a)
     return total
+
+
+def per_draw_profile_indices(grid, rng, limit):
+    """Reference sampler: one generator call per candidate tuple, with the
+    same shuffle and rejection rules as ``sampled_profile_indices``."""
+    if grid.total_profiles <= limit:
+        everything = list(grid.index_tuples())
+        for pos in rng.permutation(len(everything)):
+            yield everything[pos]
+        return
+    highs = np.array(grid.cell_sizes)
+    visited = set()
+    produced = 0
+    attempts = 0
+    while produced < limit and attempts < 20 * limit:
+        attempts += 1
+        candidate = tuple(int(v) for v in rng.integers(0, highs))
+        if candidate in visited:
+            continue
+        visited.add(candidate)
+        produced += 1
+        yield candidate

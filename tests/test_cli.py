@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ptgames as pg
-from ptgames import cli
+from ptgames import cli, search
 
 BUNDLED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartgrid.json"
 
@@ -244,18 +244,52 @@ def test_solve_reruns_are_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_solve_threads_env_does_not_change_artifacts(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, dominant_config())
-    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-    assert run_cli("solve", "--config", cfg, "--out", serial) == 0
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    assert run_cli("solve", "--config", cfg, "--out", threaded) == 0
-    assert (serial / "certificate.txt").read_bytes() == (
-        threaded / "certificate.txt"
-    ).read_bytes()
-    assert (serial / "plot_data.csv").read_bytes() == (
-        threaded / "plot_data.csv"
-    ).read_bytes()
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dominant_config(),
+        dominant_config(mode="sampled", max_candidates=40, seed=4),
+        pennies_config(epsilon=0.5, refinement_cap=6),
+        pennies_config(epsilon=0.5, refinement_cap=6, mode="sampled", seed=1),
+    ],
+    ids=["grid", "sampled-rejection", "grid-refining", "sampled-refining"],
+)
+def test_solve_artifacts_do_not_depend_on_block_size(tmp_path, monkeypatch, doc):
+    cfg = write_config(tmp_path, doc)
+    artifacts = []
+    for rows in (1, 7, None):  # None keeps the default block size
+        if rows is not None:
+            # both players face 2 opponent tuples
+            monkeypatch.setattr(search, "_BLOCK_ELEMENTS", rows * 2)
+        out = tmp_path / f"rows{rows}"
+        assert run_cli("solve", "--config", cfg, "--out", out) == 0
+        monkeypatch.undo()
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.log"}
+        log = (out / "run.log").read_text().splitlines()
+        files["run.log"] = [line for line in log if not line.startswith("wall_time")]
+        artifacts.append(files)
+    assert artifacts[1] == artifacts[0]
+    assert artifacts[2] == artifacts[0]
+
+
+@pytest.mark.parametrize(
+    "flag, doc_epsilon, where",
+    [
+        ("nan", 0.1, "--epsilon"),
+        ("inf", 0.1, "--epsilon"),
+        (None, math.nan, "run.epsilon"),  # written as the JSON token NaN
+        (None, math.inf, "run.epsilon"),  # written as the JSON token Infinity
+    ],
+)
+def test_solve_rejects_non_finite_epsilon(tmp_path, capsys, flag, doc_epsilon, where):
+    cfg = write_config(tmp_path, dominant_config(epsilon=doc_epsilon))
+    argv = ["solve", "--config", cfg, "--out", tmp_path / "out"]
+    if flag is not None:
+        argv += ["--epsilon", flag]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {where}: must be positive and finite" in err
+    assert "Traceback" not in err
 
 
 def test_solve_not_found_keeps_best_candidate(tmp_path, capsys):
@@ -316,6 +350,21 @@ def test_certify_rejects_short_profile(tmp_path):
     assert run_cli(
         "certify", "--config", cfg, "--out", tmp_path / "out", "--profile", short
     ) == 2
+
+
+def test_certify_rejects_non_finite_probability(tmp_path, capsys):
+    cfg = write_config(tmp_path, dominant_config())
+    bad = tmp_path / "nan.csv"
+    dist = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
+    cli.write_probability_csv(bad, [(0, dist), (1, dist)])
+    text = bad.read_text().splitlines()
+    text[-1] = text[-1].rsplit(",", 1)[0] + ",nan"  # player 1, stage 2, action 1
+    bad.write_text("\n".join(text) + "\n")
+    assert run_cli(
+        "certify", "--config", cfg, "--out", tmp_path / "out", "--profile", bad
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: player 1: non-finite probability nan at (t=2, s=0)" in err
 
 
 def test_certify_flags_failing_profile(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Forward marginal recursion, flow constraints, and strategy round trips."""
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,28 @@ def test_strategy_from_marginals_uniform_on_dead_states():
     strat = pg.strategy_from_marginals(table)
     assert np.allclose(strat.dist[0, 0], [0.25, 0.75], atol=1e-15)
     assert np.array_equal(strat.dist[0, 1], [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (np.nan, "non-finite probability nan at (t=2, s=1)"),
+        (np.inf, "non-finite probability inf at (t=2, s=1)"),
+        (-0.5, "negative probability -0.5 at (t=2, s=1)"),
+        (0.7, "action distribution sums to 1.2 at (t=2, s=1)"),
+    ],
+)
+def test_markov_strategy_rejects_malformed_rows(entry, message):
+    dist = np.full((2, 2, 2), 0.5)
+    dist[1, 1, 0] = entry
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pg.MarkovStrategy(player=0, dist=dist)
+
+
+def test_markov_strategy_rejects_all_nan_rows():
+    # a NaN row sum passes the |sum - 1| > tol test, so finiteness is checked first
+    with pytest.raises(ValueError, match=re.escape("non-finite probability nan at (t=1, s=0)")):
+        pg.MarkovStrategy(player=0, dist=np.full((2, 2, 2), np.nan))
 
 
 def test_strategy_from_marginals_rejects_negative_mass():

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 import ptgames as pg
-from helpers import random_game
+from ptgames import search
+from helpers import per_draw_profile_indices, random_game, random_kernel
 
 BETA = 0.1
 
@@ -34,6 +35,18 @@ def pennies_game():
     M = np.array([[2.0, -1.0], [-1.0, 1.0]])
     payoff = np.stack([M[None, None], -M[None, None]])
     players = tuple(pg.PlayerSpec(1, 2, chain_kernel()) for _ in range(2))
+    return pg.validate_game(
+        pg.GameSpec(players=players, discount_beta=0.5, payoff=payoff)
+    )
+
+
+def unreachable_state_pennies():
+    """``pennies_game`` on two states, started in state 0: with horizon 1 the
+    state-1 cells never matter, so every profile ties with 8 others."""
+    M = np.array([[2.0, -1.0], [-1.0, 1.0]])
+    payoff = np.broadcast_to(np.stack([M, -M])[:, None, None], (2, 2, 2, 2, 2))
+    kernel = pg.TransitionKernel.stationary(np.full((2, 2, 2), 0.5))
+    players = tuple(pg.PlayerSpec(2, 2, kernel) for _ in range(2))
     return pg.validate_game(
         pg.GameSpec(players=players, discount_beta=0.5, payoff=payoff)
     )
@@ -270,17 +283,16 @@ def test_grid_search_refines_until_pass():
     assert np.max(cert.gaps) <= 0.5 / 3 + 1e-12
 
 
-def test_threaded_grid_search_matches_serial():
-    game = dominant_game(2)
-    serial = pg.search_grid(game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2))
-    threaded = pg.search_grid(
-        game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2, threads=4)
-    )
-    assert threaded.candidates_examined == serial.candidates_examined
-    assert np.array_equal(threaded.values, serial.values)
-    assert np.array_equal(threaded.gaps, serial.gaps)
-    for a, b in zip(threaded.profile, serial.profile):
-        assert np.array_equal(a.dist, b.dist)
+def test_exhausted_grid_search_keeps_the_first_of_tied_candidates():
+    config = pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=0)
+    with pytest.raises(pg.EquilibriumNotFoundError) as info:
+        pg.search_grid(unreachable_state_pennies(), (0, 0), config)
+    best = info.value.best_certificate
+    assert best.candidates_examined == 81
+    assert np.max(best.gaps) == pytest.approx(0.25, abs=1e-12)
+    for strat in best.profile:
+        # the even mix where it matters, the first lattice row where it does not
+        assert np.array_equal(strat.dist, [[[0.5, 0.5], [0.0, 1.0]]])
 
 
 def test_sampled_search_is_deterministic():
@@ -345,9 +357,137 @@ def test_search_config_validation():
         pg.SearchConfig(epsilon=0.1, max_candidates=0)
     with pytest.raises(ValueError):
         pg.SearchConfig(epsilon=0.1, refinement_cap=-1)
-    with pytest.raises(ValueError):
-        pg.SearchConfig(epsilon=0.1, threads=0)
+    for epsilon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            pg.SearchConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
         pg.search_grid(
             dominant_game(1), (0,), pg.SearchConfig(epsilon=0.1, horizon=0)
         )
+
+
+def test_search_rejects_initial_state_outside_the_chain():
+    # the batched kernel indexes by the start state, where -1 would wrap
+    with pytest.raises(ValueError, match="initial state -1 of player 1"):
+        pg.search_grid(dominant_game(2), (0, -1), pg.SearchConfig(epsilon=0.1, horizon=1))
+
+
+# ------------------------------------------------------- batched certification
+
+WEIGHTINGS = {
+    "identity": pg.WeightingFunction.identity(),
+    "prelec": pg.WeightingFunction.prelec(0.65),
+    "power_complement": pg.WeightingFunction.power_complement(1.8),
+    "table": pg.WeightingFunction.from_table([(0, 0), (0.3, 0.4), (0.7, 0.6), (1, 1)]),
+}
+
+
+def mixed_size_game(rng, n, weighting, stages):
+    """Players with unequal (states, actions): (2, 3), (3, 2), (1, 2)."""
+    sizes = [(2, 3), (3, 2), (1, 2)][:n]
+    players = tuple(
+        pg.PlayerSpec(
+            S, A, random_kernel(rng, S, A, stages=stages), weighting,
+            pg.ValuationFunction.piecewise_power(0.7, 1.5, 0.9),
+        )
+        for S, A in sizes
+    )
+    shape = (n, *(S for S, _ in sizes), *(A for _, A in sizes))
+    return pg.validate_game(
+        pg.GameSpec(players=players, discount_beta=0.6, payoff=rng.normal(size=shape))
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTINGS))
+@pytest.mark.parametrize("stages", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_kernel_matches_scalar_certify(kind, stages, n):
+    rng = np.random.default_rng([n, stages, sorted(WEIGHTINGS).index(kind)])
+    game = mixed_size_game(rng, n, WEIGHTINGS[kind], stages)
+    horizon = 3
+    grid = pg.ProfileGrid(game, horizon, 0.5)
+    x = tuple(int(rng.integers(p.state_count)) for p in game.players)
+    block = np.stack([rng.integers(0, c, size=40) for c in grid.cell_sizes], axis=1)
+    block[-1] = block[0]  # identical inputs at two positions
+    values, best = search._block_values(game, grid, block, x, horizon)
+    gaps = best - values
+    assert np.array_equal(gaps[-1], gaps[0])
+    alone = search._block_values(game, grid, block[:1], x, horizon)
+    assert np.array_equal(alone[0][0], values[0]) and np.array_equal(alone[1][0], best[0])
+    # an allowance that about half the rows meet, so both verdicts occur
+    epsilon = 3.0 * float(np.median(gaps.max(axis=1)))
+    verdicts = gaps.max(axis=1) <= epsilon / 3.0 + search.PASS_SLACK
+    assert 0 < verdicts.sum() < len(block)
+    for r, indices in enumerate(block):
+        cert = pg.certify(game, grid.profile_at(indices), x, horizon, epsilon)
+        assert np.max(np.abs(values[r] - cert.values)) <= 1e-12
+        assert np.max(np.abs(best[r] - cert.best_values)) <= 1e-12
+        assert np.max(np.abs(gaps[r] - cert.gaps)) <= 1e-12
+        assert verdicts[r] == cert.passed
+
+
+@pytest.mark.parametrize("n, horizon, limit", [(2, 1, 100), (2, 2, 40), (2, 2, 80), (3, 2, 300)])
+def test_block_sampler_keeps_the_per_draw_sequence(n, horizon, limit):
+    # (2, 1, 100) shuffles the whole 9-profile grid; the others reject
+    # against the visited set, (2, 2, 80) with many collisions
+    grid = pg.ProfileGrid(dominant_game(n), horizon, 0.5)
+    for seed in range(4):
+        reference_rng = np.random.default_rng(seed)
+        expected = list(per_draw_profile_indices(grid, reference_rng, limit))
+        assert list(pg.sampled_profile_indices(grid, np.random.default_rng(seed), limit)) == expected
+        for rows in (1, 7, 64):
+            rng = np.random.default_rng(seed)
+            blocks = list(search._sampled_blocks(grid, rng, limit, rows))
+            assert all(1 <= len(block) <= rows for block in blocks)
+            assert [tuple(r) for block in blocks for r in block.tolist()] == expected
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_grid_blocks_follow_enumeration_order():
+    grid = pg.ProfileGrid(dominant_game(2), 2, 0.5)
+    for rows in (1, 7, 81, 500):
+        blocks = list(search._grid_blocks(grid, rows))
+        assert [tuple(r) for block in blocks for r in block.tolist()] == list(grid.index_tuples())
+
+
+BLOCK_CASES = [
+    # unique pass at the last of 81 candidates
+    (pg.search_grid, dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2)),
+    # passes after two refinements; not found after two
+    (pg.search_grid, pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9)),
+    (pg.search_grid, pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2)),
+    # rejection sampling with 40 draws from 81 profiles per level
+    (pg.search_sampled, dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2, max_candidates=40, rng_seed=4)),
+    # whole-grid shuffles across refinements
+    (pg.search_sampled, pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9, rng_seed=1)),
+    (pg.search_sampled, pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2)),
+    # ties between candidates that differ only in unreachable cells
+    (pg.search_grid, unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=0)),
+    (pg.search_sampled, unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=1, max_candidates=50)),
+    # the reference instance: 463 draws, passing in the second default block
+    (pg.search_sampled, pg.build_simulation_game(), pg.SearchConfig(epsilon=1e-3, rng_seed=3)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
+def test_search_results_do_not_depend_on_block_size(monkeypatch, case):
+    run, game, config = BLOCK_CASES[case]
+    x = (0,) * game.n
+    widest = max(game.opponent_pair_count(i) for i in range(game.n))
+    results = []
+    for rows in (1, 7, None):  # None keeps the default block size
+        if rows is not None:
+            monkeypatch.setattr(search, "_BLOCK_ELEMENTS", rows * widest)
+        try:
+            results.append(run(game, x, config))
+        except pg.EquilibriumNotFoundError as exc:
+            results.append(exc.best_certificate)
+        monkeypatch.undo()
+    first = results[0]
+    for cert in results[1:]:
+        assert (cert.passed, cert.candidates_examined, cert.final_delta) == (
+            first.passed, first.candidates_examined, first.final_delta
+        )
+        assert np.array_equal(cert.gaps, first.gaps)
+        for a, b in zip(cert.profile, first.profile):
+            assert np.array_equal(a.dist, b.dist)
