@@ -39,7 +39,6 @@ from .best_response import (
     BestResponseResult,
     StageRewardTable,
     backward_induction,
-    enumerate_dm_policies,
     induced_stage_rewards,
 )
 from .search import (
@@ -95,7 +94,6 @@ __all__ = [
     "BestResponseResult",
     "StageRewardTable",
     "backward_induction",
-    "enumerate_dm_policies",
     "induced_stage_rewards",
     "EquilibriumCertificate",
     "EquilibriumNotFoundError",

@@ -5,18 +5,15 @@ finite-horizon Markov decision problem on their own chain: the stage reward
 at (s, a) is the valued payoff averaged over opponent tuples with the
 player's weighting applied to each tuple's joint probability, discounting
 folded in.  Backward induction then yields an optimal deterministic Markov
-policy; ``enumerate_dm_policies`` recomputes the optimum by brute force over
-all deterministic policies and exists to cross-check the recursion on small
-instances.
+policy.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import _check_marginal_tables, opponent_weight_vector
+from .criterion import _check_marginal_tables, _stage_terms
 from .game import ValidatedGame
 from .marginals import DeterministicMarkovPolicy
 
@@ -25,7 +22,6 @@ __all__ = [
     "BestResponseResult",
     "induced_stage_rewards",
     "backward_induction",
-    "enumerate_dm_policies",
 ]
 
 
@@ -69,16 +65,13 @@ def induced_stage_rewards(
     if not 0 <= player < game.n:
         raise ValueError(f"player index {player} outside 0..{game.n - 1}")
     _check_marginal_tables(game, marginals, horizon, skip=player)
+    tables = [
+        None if j == player else table.probs[np.newaxis] for j, table in enumerate(marginals)
+    ]
     spec = game.players[player]
-    mat = game.valued_payoffs[player]
-    rewards = np.empty((horizon, spec.state_count, spec.action_count))
-    discount = 1.0
-    for k in range(horizon):
-        weights = opponent_weight_vector(game, player, marginals, k)
-        rewards[k] = discount * (mat @ weights).reshape(
-            spec.state_count, spec.action_count
-        )
-        discount *= game.discount_beta
+    rewards = _stage_terms(game, player, tables, horizon)[0][0].reshape(
+        horizon, spec.state_count, spec.action_count
+    )
     return StageRewardTable(player=player, rewards=rewards)
 
 
@@ -130,70 +123,3 @@ def backward_induction(
         value=float(values[0, initial_state]),
         stage_state_values=values,
     )
-
-
-def _policy_value(
-    game: ValidatedGame,
-    player: int,
-    rewards: np.ndarray,
-    initial_state: int,
-    choice: np.ndarray,
-) -> float:
-    """Exact forward evaluation of a deterministic policy under the (already
-    discounted) stage rewards."""
-    m, S = choice.shape
-    state_ix = np.arange(S)
-    mass = np.zeros(S)
-    mass[initial_state] = 1.0
-    total = 0.0
-    for k in range(m):
-        total += float(mass @ rewards[k, state_ix, choice[k]])
-        if k < m - 1:
-            mass = np.einsum("s,sp->p", mass, game.kernel(player, k)[state_ix, choice[k]])
-    return total
-
-
-def enumerate_dm_policies(
-    game: ValidatedGame,
-    player: int,
-    rewards: StageRewardTable,
-    initial_state: int,
-    horizon: int | None = None,
-    cap: int = 10**6,
-):
-    """Brute-force the best deterministic Markov policy by evaluating every
-    one of the A**(horizon*S) candidates with exact forward propagation.
-
-    Returns ``(policy, value)``; ties keep the first maximizer in enumeration
-    order ((stage, state) cells lexicographic, last cell fastest).  Refuses
-    to enumerate more than ``cap`` policies.
-    """
-    if rewards.player != player:
-        raise ValueError(
-            f"reward table belongs to player {rewards.player}, expected {player}"
-        )
-    m = rewards.horizon if horizon is None else horizon
-    if m < 1 or rewards.horizon < m:
-        raise ValueError(f"horizon {m} not covered by a {rewards.horizon}-stage table")
-    spec = game.players[player]
-    S, A = spec.state_count, spec.action_count
-    if not 0 <= initial_state < S:
-        raise ValueError(f"initial state {initial_state} outside 0..{S - 1}")
-    total = A ** (m * S)
-    if total > cap:
-        raise ValueError(
-            f"enumeration would visit {total} policies, above the cap {cap}"
-        )
-    best_choice = None
-    best_value = -np.inf
-    table = rewards.rewards
-    for flat in itertools.product(range(A), repeat=m * S):
-        choice = np.array(flat, dtype=int).reshape(m, S)
-        value = _policy_value(game, player, table, initial_state, choice)
-        if value > best_value:
-            best_value = value
-            best_choice = choice
-    policy = DeterministicMarkovPolicy(
-        player=player, choice=best_choice, action_count=A
-    )
-    return policy, best_value

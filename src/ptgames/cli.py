@@ -23,10 +23,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,13 +73,7 @@ class RunConfig:
 
     game: ValidatedGame
     initial_state: tuple
-    epsilon: float
-    mode: str
-    seed: int
-    initial_delta: float
-    max_candidates: int
-    refinement_cap: int
-    horizon: int | None
+    search: SearchConfig
     source: dict
 
 
@@ -274,6 +267,8 @@ def _prosumer_from_config(entry: dict, path: str) -> ProsumerSpec:
             storage_cap + 1,
             "battery level",
         )
+    kwargs["weighting"] = _weighting_from_config(entry.get("weighting"), f"{path}.weighting")
+    kwargs["valuation"] = _valuation_from_config(entry.get("valuation"), f"{path}.valuation")
     try:
         return ProsumerSpec(
             storage_cap=storage_cap,
@@ -281,8 +276,6 @@ def _prosumer_from_config(entry: dict, path: str) -> ProsumerSpec:
             demand_cap=demand_cap,
             tau=tau,
             generation=generation,
-            weighting=_weighting_from_config(entry.get("weighting"), f"{path}.weighting"),
-            valuation=_valuation_from_config(entry.get("valuation"), f"{path}.valuation"),
             **kwargs,
         )
     except ValueError as exc:
@@ -350,41 +343,22 @@ def load_config(path) -> RunConfig:
             raise ConfigError(
                 f"run.x[{k}]: state {v} outside 0..{p.state_count - 1}"
             )
-    epsilon = _as_number(_require(run, "epsilon", "run"), "run.epsilon")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ConfigError(f"run.epsilon: must be positive and finite, got {epsilon}")
-    mode = run.get("mode", "grid")
-    if mode not in ("grid", "sampled"):
-        raise ConfigError(f"run.mode: expected 'grid' or 'sampled', got {mode!r}")
-    seed = _as_int(run.get("seed", 0), "run.seed")
-    initial_delta = _as_number(run.get("initial_delta", 0.5), "run.initial_delta")
-    if not 0.0 < initial_delta < 1.0:
-        raise ConfigError(
-            f"run.initial_delta: must lie in (0,1), got {initial_delta}"
-        )
-    max_candidates = _as_int(run.get("max_candidates", 100_000), "run.max_candidates")
-    if max_candidates < 1:
-        raise ConfigError("run.max_candidates: must be positive")
-    refinement_cap = _as_int(run.get("refinement_cap", 6), "run.refinement_cap")
-    if refinement_cap < 0:
-        raise ConfigError("run.refinement_cap: must be >= 0")
     horizon = run.get("horizon")
-    if horizon is not None:
-        horizon = _as_int(horizon, "run.horizon")
-        if horizon < 1:
-            raise ConfigError("run.horizon: must be >= 1")
-    return RunConfig(
-        game=game,
-        initial_state=x,
-        epsilon=epsilon,
-        mode=mode,
-        seed=seed,
-        initial_delta=initial_delta,
-        max_candidates=max_candidates,
-        refinement_cap=refinement_cap,
-        horizon=horizon,
-        source=doc,
-    )
+    try:
+        search = SearchConfig(
+            epsilon=_as_number(_require(run, "epsilon", "run"), "run.epsilon"),
+            initial_delta=_as_number(run.get("initial_delta", 0.5), "run.initial_delta"),
+            mode=run.get("mode", "grid"),
+            max_candidates=_as_int(run.get("max_candidates", 100_000), "run.max_candidates"),
+            rng_seed=_as_int(run.get("seed", 0), "run.seed"),
+            horizon=None if horizon is None else _as_int(horizon, "run.horizon"),
+            refinement_cap=_as_int(run.get("refinement_cap", 6), "run.refinement_cap"),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"run.{exc}") from exc
+    return RunConfig(game=game, initial_state=x, search=search, source=doc)
 
 
 # ---------- table CSV round trip ----------
@@ -531,33 +505,24 @@ def _outdir(args) -> Path:
     return out
 
 
-def _search_settings(cfg: RunConfig, args) -> tuple:
-    epsilon = cfg.epsilon if args.epsilon is None else args.epsilon
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ConfigError(f"--epsilon: must be positive and finite, got {epsilon}")
-    mode = cfg.mode if args.mode is None else args.mode
-    seed = cfg.seed if args.seed is None else args.seed
-    return epsilon, mode, seed
+def _search_settings(cfg: RunConfig, args) -> SearchConfig:
+    """The run section's search settings with the command-line overrides."""
+    flags = {"epsilon": args.epsilon, "mode": args.mode, "rng_seed": args.seed}
+    try:
+        return replace(cfg.search, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(f"--{exc}") from exc
 
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    epsilon, mode, seed = _search_settings(cfg, args)
+    search = _search_settings(cfg, args)
     outdir = _outdir(args)
-    search_cfg = SearchConfig(
-        epsilon=epsilon,
-        initial_delta=cfg.initial_delta,
-        mode=mode,
-        max_candidates=cfg.max_candidates,
-        rng_seed=seed,
-        horizon=cfg.horizon,
-        refinement_cap=cfg.refinement_cap,
-    )
-    run = search_grid if mode == "grid" else search_sampled
+    run = search_grid if search.mode == "grid" else search_sampled
     started = time.perf_counter()
     status = 0
     try:
-        cert = run(cfg.game, cfg.initial_state, search_cfg)
+        cert = run(cfg.game, cfg.initial_state, search)
     except EquilibriumNotFoundError as exc:
         cert = exc.best_certificate
         status = 1
@@ -567,35 +532,33 @@ def _cmd_solve(args) -> int:
         return 2
     wall = time.perf_counter() - started
     if cert is not None:
-        _write_solve_artifacts(outdir, cert, mode)
+        _write_solve_artifacts(outdir, cert, search.mode)
         print(
             f"solve: {'passed' if status == 0 else 'best candidate only'}; "
-            f"worst gap {np.max(cert.gaps):.6g} (allowance {epsilon / 3.0:.6g}); "
+            f"worst gap {np.max(cert.gaps):.6g} (allowance {search.epsilon / 3.0:.6g}); "
             f"artifacts in {outdir}"
         )
-    _write_run_log(outdir, mode, cert, status, wall)
+    _write_run_log(outdir, search.mode, cert, status, wall)
     return status
 
 
 def _cmd_certify(args) -> int:
     cfg = load_config(args.config)
-    epsilon, mode, _seed = _search_settings(cfg, args)
+    search = _search_settings(cfg, args)
     outdir = _outdir(args)
     profile = _profile_from_csv(args.profile, cfg.game)
-    horizon = cfg.horizon
-    if horizon is None:
-        horizon = truncation_horizon(epsilon, cfg.game).horizon
+    horizon = search.resolve_horizon(cfg.game)
     for strategy in profile:
         if strategy.horizon < horizon:
             raise ConfigError(
                 f"{args.profile}: player {strategy.player} covers "
                 f"{strategy.horizon} stages, horizon {horizon} required"
             )
-    cert = certify(cfg.game, profile, cfg.initial_state, horizon, epsilon)
+    cert = certify(cfg.game, profile, cfg.initial_state, horizon, search.epsilon)
     write_certificate(outdir / "certificate.txt", cert, mode="certify")
     print(
         f"certify: {'passed' if cert.passed else 'failed'}; worst gap "
-        f"{np.max(cert.gaps):.6g} (allowance {epsilon / 3.0:.6g})"
+        f"{np.max(cert.gaps):.6g} (allowance {search.epsilon / 3.0:.6g})"
     )
     return 0 if cert.passed else 1
 
@@ -678,7 +641,7 @@ def _cmd_build_smartgrid(args) -> int:
 
 def _cmd_bound(args) -> int:
     cfg = load_config(args.config)
-    epsilon, _mode, _seed = _search_settings(cfg, args)
+    epsilon = _search_settings(cfg, args).epsilon
     params = truncation_horizon(epsilon, cfg.game)
     tail = truncation_error_bound(cfg.game, params.horizon)
     print(f"epsilon: {_fmt(epsilon)}")
@@ -689,21 +652,11 @@ def _cmd_bound(args) -> int:
             f"tail_bound {_fmt(tail[i])}"
         )
     try:
-        delta, grid_horizon = lipschitz_delta(epsilon, cfg.game, _max_lipschitz(cfg.game))
+        delta, grid_horizon = lipschitz_delta(epsilon, cfg.game)
         print(f"grid_step: {_fmt(delta)} (horizon {grid_horizon})")
     except ValueError as exc:
         print(f"grid_step: unavailable ({exc})")
     return 0
-
-
-def _max_lipschitz(game: ValidatedGame) -> float:
-    worst = 1.0
-    for i, p in enumerate(game.players):
-        constant = p.weighting.lipschitz_constant
-        if constant is None:
-            raise ValueError(f"weighting of player {i} is not Lipschitz")
-        worst = max(worst, constant)
-    return worst
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,6 @@ from .game import ValidatedGame
 __all__ = [
     "PTPayoffReport",
     "TruncationParams",
-    "opponent_weight_vector",
     "pt_payoff",
     "truncation_horizon",
     "truncation_error_bound",
@@ -95,22 +94,36 @@ def _check_marginal_tables(game: ValidatedGame, marginals, horizon: int, skip: i
             )
 
 
-def opponent_weight_vector(
-    game: ValidatedGame, player: int, marginals, stage_index: int
-) -> np.ndarray:
-    """Player's weighting applied to the joint probability of every opponent
-    (state, action) tuple at one stage.
+def _stage_terms(game: ValidatedGame, player: int, tables, horizon: int):
+    """Discounted induced stage rewards, shape (rows, horizon, S*A), and the
+    player's discounted stage contributions, shape (rows, horizon), for a
+    block of ``rows`` profiles given as marginal tables per player, each of
+    shape (rows, >= horizon, S, A); unchecked.
 
-    Tuples are ordered players-ascending then (state, action) lexicographic,
-    matching the columns of the validated game's valued payoff matrix.  The
-    summation/outer-product order is fixed, so results are reproducible
-    bit-for-bit.  With no opponents the single empty tuple has probability 1.
+    The player's own table may be None (no contributions then).  Each stage
+    applies the weighting once to the joint probability of every opponent
+    tuple, ordered players-ascending then (state, action) lexicographic like
+    the columns of the valued payoff matrix.  Rewards and values run as one
+    matrix-vector product per row, whose rounding does not depend on the
+    row's position in the block, so every row matches a block of one.
     """
-    vec = np.ones(1)
-    for j in range(game.n):
-        if j != player:
-            vec = np.multiply.outer(vec, marginals[j].probs[stage_index].ravel()).ravel()
-    return game.players[player].weighting(vec)
+    own = tables[player]
+    rows = next((len(t) for t in tables if t is not None), 1)
+    rewards = np.empty((rows, horizon, game.pair_count(player)))
+    contributions = None if own is None else np.empty((rows, horizon))
+    discount = 1.0
+    for k in range(horizon):
+        tuples = np.ones((rows, 1))
+        for j, table in enumerate(tables):
+            if j != player:
+                tuples = (tuples[:, :, np.newaxis] * table[:, k].reshape(rows, 1, -1)).reshape(rows, -1)
+        weights = game.players[player].weighting(tuples)
+        payoff = game.valued_payoffs[player] @ weights[:, :, np.newaxis]
+        rewards[:, k] = discount * payoff[:, :, 0]
+        if own is not None:
+            contributions[:, k] = discount * (own[:, k].reshape(rows, 1, -1) @ payoff)[:, 0, 0]
+        discount *= game.discount_beta
+    return rewards, contributions
 
 
 def pt_payoff(game: ValidatedGame, marginals, horizon: int) -> PTPayoffReport:
@@ -124,16 +137,10 @@ def pt_payoff(game: ValidatedGame, marginals, horizon: int) -> PTPayoffReport:
     for each player; the per-stage pieces are kept in the report.
     """
     _check_marginal_tables(game, marginals, horizon)
-    beta = game.discount_beta
-    contributions = np.zeros((game.n, horizon))
-    for i in range(game.n):
-        mat = game.valued_payoffs[i]
-        own = marginals[i].probs
-        discount = 1.0
-        for k in range(horizon):
-            weights = opponent_weight_vector(game, i, marginals, k)
-            contributions[i, k] = discount * float(own[k].ravel() @ (mat @ weights))
-            discount *= beta
+    tables = [table.probs[np.newaxis] for table in marginals]
+    contributions = np.array(
+        [_stage_terms(game, i, tables, horizon)[1][0] for i in range(game.n)]
+    )
     return PTPayoffReport(
         horizon=horizon,
         values=contributions.sum(axis=1),
@@ -173,47 +180,53 @@ def truncation_error_bound(game: ValidatedGame, horizon: int) -> np.ndarray:
     return np.array(game.value_bounds) * sizes * beta**horizon / (1.0 - beta)
 
 
-def lipschitz_delta(epsilon: float, game: ValidatedGame, lipschitz_bound: float):
+def lipschitz_delta(epsilon: float, game: ValidatedGame, lipschitz_bound: float | None = None):
     """Simplex grid step guaranteeing some grid profile is close enough in
     value to any profile, together with the horizon used in its derivation.
 
-    Returns ``(delta, horizon)``.  Requires every player's weighting function
-    to be Lipschitz with constant at most ``lipschitz_bound`` (>= 1); prelec
-    weightings with exponent below 1 are rejected because their slope is
-    unbounded.  Degenerate games whose payoffs value to zero everywhere admit
-    any grid, and step 1 is returned for them.
+    Returns ``(delta, horizon)``; the horizon is the truncation horizon for
+    ``epsilon``/2.  Requires every player's weighting function to be
+    Lipschitz with constant at most ``lipschitz_bound`` (>= 1; by default
+    the largest constant, at least 1); prelec weightings with exponent below
+    1 are rejected because their slope is unbounded.  Degenerate games whose
+    payoffs value to zero everywhere admit any grid, and step 1 is returned
+    for them.  Raises ValueError when the step is too small for a float.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if lipschitz_bound < 1.0:
+    if lipschitz_bound is not None and lipschitz_bound < 1.0:
         raise ValueError(f"Lipschitz bound must be >= 1, got {lipschitz_bound}")
-    for i, p in enumerate(game.players):
-        constant = p.weighting.lipschitz_constant
+    constants = [p.weighting.lipschitz_constant for p in game.players]
+    for i, (p, constant) in enumerate(zip(game.players, constants)):
         if constant is None:
             raise ValueError(
                 f"weighting of player {i} ({p.weighting.kind}) is not Lipschitz; "
                 "grid-step bounds do not apply, use sampled search"
             )
-        if constant > lipschitz_bound:
+        if lipschitz_bound is not None and constant > lipschitz_bound:
             raise ValueError(
                 f"weighting of player {i} has Lipschitz constant {constant}, "
                 f"exceeding the declared bound {lipschitz_bound}"
             )
-    beta = game.discount_beta
-    sizes = game.joint_state_count * game.joint_action_count
-    horizon = 1
-    for bound in game.value_bounds:
-        if bound <= 0.0:
-            continue
-        ratio = math.log((1.0 - beta) * epsilon / (6.0 * bound * sizes)) / math.log(beta)
-        horizon = max(horizon, math.ceil(ratio))
+    if lipschitz_bound is None:
+        lipschitz_bound = max(1.0, *constants)
+    horizon = truncation_horizon(epsilon / 2.0, game).horizon
     worst = float(np.max(game.value_bounds))
     if worst <= 0.0:
         return 1.0, horizon
+    beta = game.discount_beta
+    sizes = game.joint_state_count * game.joint_action_count
     pair_tail = sum(
         (p.state_count * p.action_count) ** horizon for p in game.players
     )
-    delta = (1.0 - beta) * epsilon / (
-        6.0 * lipschitz_bound * worst * sizes * horizon * pair_tail
-    )
+    try:
+        delta = (1.0 - beta) * epsilon / (
+            6.0 * lipschitz_bound * worst * sizes * horizon * pair_tail
+        )
+    except OverflowError:
+        delta = 0.0
+    if delta == 0.0:
+        raise ValueError(
+            f"grid step is not representable as a float (horizon {horizon})"
+        )
     return delta, horizon

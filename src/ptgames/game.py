@@ -14,6 +14,7 @@ and the per-player valued payoff tables cached.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -86,6 +87,8 @@ class WeightingFunction:
     knots_w: tuple = ()
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, *self.knots_y, *self.knots_w))):
+            raise ValueError("weighting parameters must be finite")
         if self.kind == "prelec":
             if not 0.0 < self.alpha <= 1.0:
                 raise ValueError(f"prelec exponent must lie in (0,1], got {self.alpha}")
@@ -193,9 +196,10 @@ class ValuationFunction:
 
     def __post_init__(self):
         if self.kind == "piecewise_power":
-            if min(self.gain_exponent, self.loss_scale, self.loss_exponent) <= 0.0:
+            constants = (self.gain_exponent, self.loss_scale, self.loss_exponent)
+            if not all(math.isfinite(c) and c > 0.0 for c in constants):
                 raise ValueError(
-                    "piecewise_power constants must all be positive, got "
+                    "piecewise_power constants must all be positive and finite, got "
                     f"({self.gain_exponent}, {self.loss_scale}, {self.loss_exponent})"
                 )
         elif self.kind not in ("identity", "custom"):
@@ -415,9 +419,10 @@ def validate_game(spec: GameSpec) -> ValidatedGame:
     """Check every structural invariant of ``spec``; return the validated game.
 
     Raises :class:`GameValidationError` listing all violations: kernel rows
-    that do not sum to 1 or contain negative probabilities, kernel shapes that
-    disagree with the declared sizes, payoff entries that are missing or
-    non-finite, empty player lists, and a discount factor outside (0, 1).
+    that do not sum to 1 or contain negative or non-finite probabilities,
+    kernel shapes that disagree with the declared sizes, payoff entries that
+    are missing or non-finite, empty player lists, and a discount factor
+    outside (0, 1).
     """
     problems = []
     players = tuple(spec.players)
@@ -440,10 +445,11 @@ def validate_game(spec: GameSpec) -> ValidatedGame:
                 f"({p.state_count}, {p.action_count}, {p.state_count})"
             )
             continue
-        for (t, s, a, y) in np.argwhere(kern < 0.0):
+        finite = np.isfinite(kern)
+        for (t, s, a, y) in np.argwhere(~finite | (kern < 0.0)):
             problems.append(
-                f"negative probability {kern[t, s, a, y]:.12g} at "
-                f"(player {i}, t={t + 1}, s={s}, a={a}, next={y})"
+                f"{'negative' if finite[t, s, a, y] else 'non-finite'} probability "
+                f"{kern[t, s, a, y]:.12g} at (player {i}, t={t + 1}, s={s}, a={a}, next={y})"
             )
         sums = kern.sum(axis=3)
         for (t, s, a) in np.argwhere(np.abs(sums - 1.0) > _ROW_SUM_TOL):

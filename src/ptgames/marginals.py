@@ -188,10 +188,6 @@ def forward_marginals(
     """Propagate ``strategy`` from a deterministic start state through the
     player's own kernel, collecting the (state, action) occupancy of stages
     1..``horizon``.
-
-    Stage 1 is the start state's action distribution; afterwards the state
-    mass is pushed through the kernel and multiplied by the next stage's
-    action distributions.
     """
     i = strategy.player
     _check_player_dims(game, i, strategy.state_count, strategy.action_count)
@@ -204,12 +200,26 @@ def forward_marginals(
         raise ValueError(
             f"strategy covers {strategy.horizon} stages, horizon {horizon} requested"
         )
-    probs = np.zeros((horizon, S, A))
-    probs[0, initial_state] = strategy.dist[0, initial_state]
+    probs = _propagate(game, i, strategy.dist[np.newaxis], initial_state, horizon)
+    return MarginalTable(player=i, probs=probs[0])
+
+
+def _propagate(
+    game: ValidatedGame, player: int, dist: np.ndarray, initial_state: int, horizon: int
+) -> np.ndarray:
+    """Stage occupancy tables, shape (rows, horizon, S, A), of a block of
+    strategies ``dist`` (rows, >= horizon, S, A) of one player, unchecked.
+
+    Stage 1 is the start state's action distribution; afterwards the state
+    mass is pushed through the kernel and multiplied by the next stage's
+    action distributions.
+    """
+    probs = np.zeros((len(dist), horizon) + dist.shape[2:])
+    probs[:, 0, initial_state] = dist[:, 0, initial_state]
     for k in range(horizon - 1):
-        state_mass = np.einsum("sa,sap->p", probs[k], game.kernel(i, k))
-        probs[k + 1] = state_mass[:, np.newaxis] * strategy.dist[k + 1]
-    return MarginalTable(player=i, probs=probs)
+        mass = np.einsum("bsa,sap->bp", probs[:, k], game.kernel(player, k))
+        probs[:, k + 1] = mass[:, :, np.newaxis] * dist[:, k + 1]
+    return probs
 
 
 def check_flow_constraints(

@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .best_response import backward_induction, induced_stage_rewards
-from .criterion import pt_payoff, truncation_horizon
+from .best_response import StageRewardTable, backward_induction
+from .criterion import _check_marginal_tables, _stage_terms, truncation_horizon
 from .game import ValidatedGame
-from .marginals import MarkovStrategy, _distribution_problem, forward_marginals
+from .marginals import MarkovStrategy, _distribution_problem, _propagate, forward_marginals
 
 __all__ = [
     "GridTooLargeError",
@@ -83,9 +83,10 @@ class SearchConfig:
     """Knobs of both search modes.
 
     ``horizon`` overrides the truncation horizon computed from ``epsilon``
-    when set.  ``max_candidates`` caps the grid size in grid mode and the
-    number of draws per level in sampled mode; ``refinement_cap`` bounds how
-    often the lattice step is halved after exhausting a level.
+    when set (see :meth:`resolve_horizon`).  ``max_candidates`` caps the grid
+    size in grid mode and the number of draws per level in sampled mode;
+    ``refinement_cap`` bounds how often the lattice step is halved after
+    exhausting a level.  Every range check on these settings lives here.
     """
 
     epsilon: float
@@ -97,18 +98,25 @@ class SearchConfig:
     refinement_cap: int = 6
 
     def __post_init__(self):
+        # messages start with the field name, which callers may prefix
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+            raise ValueError(f"epsilon: must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.initial_delta < 1.0:
-            raise ValueError(
-                f"initial grid step must lie in (0,1), got {self.initial_delta}"
-            )
+            raise ValueError(f"initial_delta: must lie in (0,1), got {self.initial_delta}")
         if self.mode not in ("grid", "sampled"):
-            raise ValueError(f"mode must be 'grid' or 'sampled', got {self.mode!r}")
+            raise ValueError(f"mode: expected 'grid' or 'sampled', got {self.mode!r}")
         if self.max_candidates < 1:
-            raise ValueError("max_candidates must be positive")
+            raise ValueError(f"max_candidates: must be positive, got {self.max_candidates}")
         if self.refinement_cap < 0:
-            raise ValueError("refinement_cap must be >= 0")
+            raise ValueError(f"refinement_cap: must be >= 0, got {self.refinement_cap}")
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError(f"horizon: must be >= 1, got {self.horizon}")
+
+    def resolve_horizon(self, game: ValidatedGame) -> int:
+        """The set ``horizon``, else the truncation horizon for ``epsilon``."""
+        if self.horizon is not None:
+            return self.horizon
+        return truncation_horizon(self.epsilon, game).horizon
 
 
 @dataclass(frozen=True)
@@ -146,11 +154,7 @@ def simplex_grid(action_count: int, delta: float) -> np.ndarray:
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"grid step must lie in (0,1], got {delta}")
     resolution = max(1, math.ceil(1.0 / delta - 1e-9))
-    rows = [
-        comp
-        for comp in _compositions(resolution, action_count)
-    ]
-    return np.array(rows, dtype=float) / resolution
+    return np.array(list(_compositions(resolution, action_count)), dtype=float) / resolution
 
 
 def _compositions(total: int, parts: int):
@@ -221,12 +225,6 @@ class ProfileGrid:
                     pos += 1
             out.append(MarkovStrategy(player=i, dist=dist))
         return tuple(out)
-
-    def profiles(self):
-        for indices in self.index_tuples():
-            yield self.profile_at(indices)
-
-    __iter__ = profiles
 
 
 def grid_profiles(
@@ -324,19 +322,23 @@ def certify(
         raise ValueError(
             f"profile has {len(profile)} strategies, game has {game.n} players"
         )
-    tables = [
+    marginals = [
         forward_marginals(game, profile[i], x[i], horizon) for i in range(game.n)
     ]
-    report = pt_payoff(game, tables, horizon)
+    _check_marginal_tables(game, marginals, horizon)
+    tables = [table.probs[np.newaxis] for table in marginals]
+    values = np.empty(game.n)
     best = np.empty(game.n)
-    for i in range(game.n):
-        rewards = induced_stage_rewards(game, i, tables, horizon)
-        best[i] = backward_induction(game, i, rewards, x[i], horizon).value
-    gaps = best - report.values
+    for i, p in enumerate(game.players):
+        rewards, contributions = _stage_terms(game, i, tables, horizon)
+        values[i] = contributions[0].sum()
+        table = rewards[0].reshape(horizon, p.state_count, p.action_count)
+        best[i] = backward_induction(game, i, StageRewardTable(i, table), x[i], horizon).value
+    gaps = best - values
     passed = bool(np.max(gaps) <= epsilon / 3.0 + PASS_SLACK)
     return EquilibriumCertificate(
         profile=profile,
-        values=report.values,
+        values=values,
         best_values=best,
         gaps=gaps,
         epsilon=epsilon,
@@ -365,45 +367,23 @@ def _block_values(
     """Values and best-response values, each of shape (rows, players), of the
     lattice profiles whose per-cell indices are the rows of ``block``.
 
-    ``certify`` with a leading batch axis: stage marginals, opponent weights
-    (one weighting call per player and stage for the whole block), induced
-    rewards, values and backward induction.  The reward and value products
-    run as one matrix-vector product per row, the BLAS call ``certify``
-    makes, not as one matrix product per block, whose rounding depends on a
-    row's position in the block.  Rows with identical inputs thus get
-    identical results in any block, so ties break as in a per-candidate scan.
+    ``certify`` with a leading batch axis: the same stage marginals and
+    stage terms, then backward induction on the maxima only.  Rows with
+    identical inputs get identical results in any block, so ties break as
+    in a per-candidate scan.
     """
     rows = len(block)
-    tables = []  # per player: (rows, horizon, S*A) stage marginals
+    tables = []
     start = 0
     for i, p in enumerate(game.players):
-        S, A = p.state_count, p.action_count
-        cells = block[:, start : start + horizon * S]
-        start += horizon * S
-        dist = grid.distributions(i)[cells].reshape(rows, horizon, S, A)
-        probs = np.zeros((rows, horizon, S, A))
-        x = initial_state[i]
-        probs[:, 0, x] = dist[:, 0, x]
-        for k in range(horizon - 1):
-            mass = np.einsum("bsa,sap->bp", probs[:, k], game.kernel(i, k))
-            probs[:, k + 1] = mass[:, :, np.newaxis] * dist[:, k + 1]
-        tables.append(probs.reshape(rows, horizon, S * A))
+        cells = block[:, start : start + horizon * p.state_count]
+        start += horizon * p.state_count
+        dist = grid.distributions(i)[cells].reshape(rows, horizon, p.state_count, p.action_count)
+        tables.append(_propagate(game, i, dist, initial_state[i], horizon))
     values = np.empty((rows, game.n))
     best_values = np.empty((rows, game.n))
     for i, p in enumerate(game.players):
-        rewards = np.empty((rows, horizon, p.state_count * p.action_count))
-        contributions = np.empty((rows, horizon))
-        discount = 1.0
-        for k in range(horizon):
-            # opponent tuples in opponent_weight_vector's order
-            tuples = np.ones((rows, 1))
-            for j in range(game.n):
-                if j != i:
-                    tuples = (tuples[:, :, np.newaxis] * tables[j][:, k, np.newaxis]).reshape(rows, -1)
-            payoff = game.valued_payoffs[i] @ p.weighting(tuples)[:, :, np.newaxis]
-            rewards[:, k] = discount * payoff[:, :, 0]
-            contributions[:, k] = discount * (tables[i][:, k, np.newaxis] @ payoff)[:, 0, 0]
-            discount *= game.discount_beta
+        rewards, contributions = _stage_terms(game, i, tables, horizon)
         q = rewards.reshape(rows, horizon, p.state_count, p.action_count)
         best = q[:, -1].max(axis=2)
         for k in range(horizon - 2, -1, -1):
@@ -411,14 +391,6 @@ def _block_values(
         values[:, i] = contributions.sum(axis=1)
         best_values[:, i] = best[:, initial_state[i]]
     return values, best_values
-
-
-def _resolve_horizon(game: ValidatedGame, config: SearchConfig) -> int:
-    if config.horizon is not None:
-        if config.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {config.horizon}")
-        return config.horizon
-    return truncation_horizon(config.epsilon, game).horizon
 
 
 def _search(game: ValidatedGame, initial_state, config: SearchConfig, blocks, cap):
@@ -432,7 +404,7 @@ def _search(game: ValidatedGame, initial_state, config: SearchConfig, blocks, ca
     smallest worst gap is re-certified and carried by the error.
     """
     x = _initial_state(game, initial_state)
-    horizon = _resolve_horizon(game, config)
+    horizon = config.resolve_horizon(game)
     widest = max(game.opponent_pair_count(i) for i in range(game.n))
     rows = max(1, _BLOCK_ELEMENTS // widest)
     allowance = config.epsilon / 3.0 + PASS_SLACK

@@ -67,6 +67,8 @@ class GenerationDistribution:
         arr = np.array(self.pmf, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("generation pmf must be a nonempty vector")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("generation pmf contains non-finite mass")
         if np.any(arr < 0.0):
             raise ValueError("generation pmf contains negative mass")
         if abs(arr.sum() - 1.0) > 1e-9:
@@ -91,13 +93,17 @@ def discretize_gaussian(
     deviations around the mean, rounded outward.  As the variance shrinks the
     result concentrates on the bin nearest the mean.
     """
-    if variance <= 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    if not math.isfinite(mu):
+        raise ValueError(f"mean must be finite, got {mu}")
+    if not (math.isfinite(variance) and variance > 0.0):
+        raise ValueError(f"variance must be positive and finite, got {variance}")
     sigma = math.sqrt(variance)
     if support is None:
         lo = math.floor(mu - 4.0 * sigma)
         hi = math.ceil(mu + 4.0 * sigma)
     else:
+        if not all(math.isfinite(float(v)) for v in support):
+            raise ValueError(f"support must be finite, got {list(support)}")
         lo, hi = int(support[0]), int(support[1])
         if hi < lo:
             raise ValueError(f"empty support [{lo}, {hi}]")

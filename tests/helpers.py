@@ -1,5 +1,6 @@
 """Shared test utilities: random instance factories and slow independent
-oracles (joint-chain enumeration) used to cross-check the vectorized code."""
+oracles (joint-chain enumeration, brute-force policy search, per-stage
+opponent weights) used to cross-check the vectorized code."""
 from __future__ import annotations
 
 import itertools
@@ -164,3 +165,67 @@ def per_draw_profile_indices(grid, rng, limit):
         visited.add(candidate)
         produced += 1
         yield candidate
+
+
+def opponent_weight_vector(game, player, marginals, stage_index):
+    """Player's weighting applied to the joint probability of every opponent
+    (state, action) tuple at one stage, one outer product per opponent, in
+    the column order of the valued payoff matrix (players ascending, then
+    (state, action) lexicographic).  With no opponents the single empty
+    tuple has probability 1."""
+    vec = np.ones(1)
+    for j in range(game.n):
+        if j != player:
+            vec = np.multiply.outer(vec, marginals[j].probs[stage_index].ravel()).ravel()
+    return game.players[player].weighting(vec)
+
+
+def policy_value(game, player, rewards, initial_state, choice):
+    """Exact forward evaluation of a deterministic policy under the (already
+    discounted) stage rewards."""
+    m, S = choice.shape
+    state_ix = np.arange(S)
+    mass = np.zeros(S)
+    mass[initial_state] = 1.0
+    total = 0.0
+    for k in range(m):
+        total += float(mass @ rewards[k, state_ix, choice[k]])
+        if k < m - 1:
+            mass = np.einsum("s,sp->p", mass, game.kernel(player, k)[state_ix, choice[k]])
+    return total
+
+
+def enumerate_dm_policies(game, player, rewards, initial_state, horizon=None, cap=10**6):
+    """Brute-force the best deterministic Markov policy by evaluating every
+    one of the A**(horizon*S) candidates with exact forward propagation.
+
+    Returns ``(policy, value)``; ties keep the first maximizer in enumeration
+    order ((stage, state) cells lexicographic, last cell fastest).  Refuses
+    to enumerate more than ``cap`` policies.
+    """
+    if rewards.player != player:
+        raise ValueError(
+            f"reward table belongs to player {rewards.player}, expected {player}"
+        )
+    m = rewards.horizon if horizon is None else horizon
+    if m < 1 or rewards.horizon < m:
+        raise ValueError(f"horizon {m} not covered by a {rewards.horizon}-stage table")
+    spec = game.players[player]
+    S, A = spec.state_count, spec.action_count
+    if not 0 <= initial_state < S:
+        raise ValueError(f"initial state {initial_state} outside 0..{S - 1}")
+    total = A ** (m * S)
+    if total > cap:
+        raise ValueError(
+            f"enumeration would visit {total} policies, above the cap {cap}"
+        )
+    best_choice = None
+    best_value = -np.inf
+    for flat in itertools.product(range(A), repeat=m * S):
+        choice = np.array(flat, dtype=int).reshape(m, S)
+        value = policy_value(game, player, rewards.rewards, initial_state, choice)
+        if value > best_value:
+            best_value = value
+            best_choice = choice
+    policy = pg.DeterministicMarkovPolicy(player=player, choice=best_choice, action_count=A)
+    return policy, best_value

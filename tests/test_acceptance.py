@@ -15,6 +15,7 @@ import ptgames as pg
 from ptgames import cli
 from helpers import (
     classical_joint_value,
+    enumerate_dm_policies,
     joint_stage_distributions,
     random_game,
     random_initial_state,
@@ -98,7 +99,7 @@ def test_backward_induction_agrees_with_policy_enumeration():
         player = int(rng.integers(game.n))
         rewards = pg.induced_stage_rewards(game, player, tables, horizon)
         fast = pg.backward_induction(game, player, rewards, x[player], horizon)
-        _, brute = pg.enumerate_dm_policies(game, player, rewards, x[player], horizon)
+        _, brute = enumerate_dm_policies(game, player, rewards, x[player], horizon)
         worst = max(worst, abs(fast.value - brute))
     elapsed = time.perf_counter() - started
     assert worst <= tolerance

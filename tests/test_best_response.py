@@ -6,6 +6,7 @@ import pytest
 
 import ptgames as pg
 from helpers import (
+    enumerate_dm_policies,
     random_game,
     random_initial_state,
     random_profile,
@@ -163,7 +164,7 @@ def test_backward_induction_matches_enumeration():
         player = int(rng.integers(game.n))
         rewards = pg.induced_stage_rewards(game, player, tables, horizon)
         recursive = pg.backward_induction(game, player, rewards, x[player], horizon)
-        _policy, brute_value = pg.enumerate_dm_policies(
+        _policy, brute_value = enumerate_dm_policies(
             game, player, rewards, x[player], horizon
         )
         assert recursive.value == pytest.approx(brute_value, abs=1e-9)
@@ -179,9 +180,9 @@ def test_enumeration_cap_carries_policy_count():
     rewards = pg.induced_stage_rewards(game, 0, [None], m)
     total = A ** (m * S)
     with pytest.raises(ValueError, match=str(total)):
-        pg.enumerate_dm_policies(game, 0, rewards, 0, m, cap=total - 1)
+        enumerate_dm_policies(game, 0, rewards, 0, m, cap=total - 1)
     # with the cap at the exact count it runs
-    pg.enumerate_dm_policies(game, 0, rewards, 0, m, cap=total)
+    enumerate_dm_policies(game, 0, rewards, 0, m, cap=total)
 
 
 def test_best_response_dominates_random_strategies():

@@ -72,13 +72,13 @@ def test_load_config_minimal(tmp_path):
     cfg = cli.load_config(write_config(tmp_path, dominant_config()))
     assert cfg.game.n == 2
     assert cfg.initial_state == (0, 0)
-    assert cfg.epsilon == 0.1
-    assert cfg.mode == "grid"
-    assert cfg.seed == 0
-    assert cfg.initial_delta == 0.5
-    assert cfg.max_candidates == 100_000
-    assert cfg.refinement_cap == 6
-    assert cfg.horizon == 2
+    assert cfg.search.epsilon == 0.1
+    assert cfg.search.mode == "grid"
+    assert cfg.search.rng_seed == 0
+    assert cfg.search.initial_delta == 0.5
+    assert cfg.search.max_candidates == 100_000
+    assert cfg.search.refinement_cap == 6
+    assert cfg.search.horizon == 2
 
 
 def test_load_config_reports_key_path_for_bad_beta(tmp_path):
@@ -148,8 +148,8 @@ def test_bundled_config_matches_builtin_instance():
         assert cfg.game.players[i].weighting.kind == "prelec"
         assert cfg.game.players[i].weighting.alpha == 0.8
     assert cfg.game.discount_beta == reference.discount_beta
-    assert cfg.epsilon == 0.01
-    assert cfg.mode == "sampled"
+    assert cfg.search.epsilon == 0.01
+    assert cfg.search.mode == "sampled"
     assert cfg.initial_state == (0, 0, 0)
 
 
@@ -289,6 +289,58 @@ def test_solve_rejects_non_finite_epsilon(tmp_path, capsys, flag, doc_epsilon, w
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert f"config error: {where}: must be positive and finite" in err
+    assert "Traceback" not in err
+
+
+def one_player_config(kernel_probs=((1.0,), (1.0,)), weighting=None):
+    """One player, one state, two actions."""
+    player = {
+        "state_count": 1,
+        "action_count": 2,
+        "kernel": {"mode": "stationary", "probs": [[list(row) for row in kernel_probs]]},
+    }
+    if weighting is not None:
+        player["weighting"] = weighting
+    return {
+        "game": {"beta": 0.5, "players": [player], "payoff": [[[1.0, 0.0]]]},
+        "run": {"x": [0], "epsilon": 0.1, "horizon": 1},
+    }
+
+
+def smartgrid_variant(**prosumer0):
+    """The bundled config with keys of its first prosumer replaced."""
+    doc = json.loads(BUNDLED_CONFIG.read_text())
+    doc["smartgrid"]["prosumers"][0].update(prosumer0)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (one_player_config(kernel_probs=((math.nan,), (1.0,))),
+         "game: non-finite probability nan at (player 0, t=1, s=0, a=0, next=0)"),
+        (one_player_config(weighting={"kind": "power_complement", "alpha": math.inf}),
+         "game.players[0].weighting: "),
+        (smartgrid_variant(generation={"support_min": 0, "pmf": [0.5, math.nan, 0.5]}),
+         "smartgrid.prosumers[0].generation.pmf: "),
+        (smartgrid_variant(generation={"mu": 0.5, "variance": math.inf}),
+         "smartgrid.prosumers[0].generation: "),
+        (smartgrid_variant(generation={"mu": 0.5, "variance": 1.0, "support": [0, math.inf]}),
+         "smartgrid.prosumers[0].generation: "),
+        (smartgrid_variant(weighting={"kind": "table", "points": [[0, 0], [math.nan, 0.5], [1, 1]]}),
+         "smartgrid.prosumers[0].weighting: "),
+        (smartgrid_variant(valuation={"kind": "piecewise_power", "c1": 0.5, "c2": math.inf, "c3": 0.3}),
+         "smartgrid.prosumers[0].valuation: "),
+        (smartgrid_variant(valuation={"kind": "piecewise_power", "c1": math.nan, "c2": 1.0, "c3": 0.3}),
+         "smartgrid.prosumers[0].valuation: "),
+    ],
+    ids=["kernel-nan", "alpha-inf", "pmf-nan", "variance-inf", "support-inf", "knot-nan", "c2-inf", "c1-nan"],
+)
+def test_solve_rejects_non_finite_game_inputs(tmp_path, capsys, doc, message):
+    cfg = write_config(tmp_path, doc)  # NaN/inf become the JSON tokens NaN/Infinity
+    assert run_cli("solve", "--config", cfg, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
     assert "Traceback" not in err
 
 
@@ -432,6 +484,22 @@ def test_bound_command_flags_non_lipschitz_weighting(capsys):
     assert "horizon: 2" in out
     assert "grid_step: unavailable" in out
     assert "not Lipschitz" in out
+
+
+def test_bound_command_reports_unrepresentable_grid_step(tmp_path, capsys):
+    # horizon 1393, where (S*A)**horizon has no float value
+    doc = one_player_config(kernel_probs=((1.0, 0.0), (0.0, 1.0)))
+    doc["game"]["players"][0]["state_count"] = 2
+    doc["game"]["players"][0]["kernel"]["probs"] = [[[1.0, 0.0], [0.0, 1.0]]] * 2
+    doc["game"]["payoff"] = [[[1.0, 0.0], [0.0, 1.0]]]
+    doc["game"]["beta"] = 0.99
+    doc["run"]["epsilon"] = 1e-3
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("bound", "--config", cfg) == 0
+    captured = capsys.readouterr()
+    assert "horizon: 1393" in captured.out
+    assert "grid_step: unavailable (grid step is not representable" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

@@ -3,8 +3,15 @@ import numpy as np
 import pytest
 
 import ptgames as pg
-from ptgames import search
-from helpers import per_draw_profile_indices, random_game, random_kernel
+from ptgames import criterion, search
+from helpers import (
+    enumerate_dm_policies,
+    opponent_weight_vector,
+    per_draw_profile_indices,
+    random_game,
+    random_kernel,
+    random_profile,
+)
 
 BETA = 0.1
 
@@ -122,7 +129,7 @@ def test_profile_grid_enumeration_order():
     grid = pg.ProfileGrid(game, 1, 0.5)
     tuples = list(grid.index_tuples())
     assert tuples == [(0,), (1,), (2,)]
-    dists = [prof[0].dist[0, 0].tolist() for prof in grid]
+    dists = [grid.profile_at(t)[0].dist[0, 0].tolist() for t in grid.index_tuples()]
     assert dists == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
 
 
@@ -236,7 +243,7 @@ def test_grid_search_single_player_reaches_optimum():
         )
         tables = [pg.forward_marginals(game, cert.profile[0], 0, 2)]
         rewards = pg.induced_stage_rewards(game, 0, tables, 2)
-        _, optimum = pg.enumerate_dm_policies(game, 0, rewards, 0, 2)
+        _, optimum = enumerate_dm_policies(game, 0, rewards, 0, 2)
         assert cert.best_values[0] == pytest.approx(optimum, abs=1e-9)
         assert cert.values[0] >= optimum - 0.05 / 3 - 1e-9
 
@@ -424,6 +431,40 @@ def test_block_kernel_matches_scalar_certify(kind, stages, n):
         assert np.max(np.abs(best[r] - cert.best_values)) <= 1e-12
         assert np.max(np.abs(gaps[r] - cert.gaps)) <= 1e-12
         assert verdicts[r] == cert.passed
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTINGS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stage_terms_match_outer_product_oracle(kind, n):
+    # certify and the block kernel share _stage_terms, so it is checked
+    # against one np.multiply.outer per opponent and a plain discounted sum
+    rng = np.random.default_rng([n, 7, sorted(WEIGHTINGS).index(kind)])
+    game = mixed_size_game(rng, n, WEIGHTINGS[kind], stages=2)
+    horizon = 3
+    x = tuple(int(rng.integers(p.state_count)) for p in game.players)
+    profiles = [random_profile(rng, game, horizon) for _ in range(4)]
+    profiles.append(profiles[1])  # the same row at two positions
+    marginals = [
+        [pg.forward_marginals(game, s, x[s.player], horizon) for s in profile]
+        for profile in profiles
+    ]
+    tables = [np.stack([m[j].probs for m in marginals]) for j in range(n)]
+    for i in range(n):
+        rewards, contributions = criterion._stage_terms(game, i, tables, horizon)
+        assert np.array_equal(rewards[4], rewards[1])
+        assert np.array_equal(contributions[4], contributions[1])
+        without_own = [None if j == i else t for j, t in enumerate(tables)]
+        alone, missing = criterion._stage_terms(game, i, without_own, horizon)
+        assert missing is None
+        # with no table at all (one player) the single row serves every row
+        assert np.array_equal(np.broadcast_to(alone, rewards.shape), rewards)
+        for r, tabs in enumerate(marginals):
+            for k in range(horizon):
+                weights = opponent_weight_vector(game, i, tabs, k)
+                expected = game.discount_beta**k * (game.valued_payoffs[i] @ weights)
+                np.testing.assert_allclose(rewards[r, k], expected, rtol=1e-13, atol=1e-15)
+                own = tabs[i].probs[k].ravel() @ expected
+                assert contributions[r, k] == pytest.approx(own, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("n, horizon, limit", [(2, 1, 100), (2, 2, 40), (2, 2, 80), (3, 2, 300)])
