@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -84,8 +85,14 @@ def _fmt(value: float) -> str:
 # ---------- config parsing ----------
 
 
+def _as_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    return value
+
+
 def _require(mapping: dict, key: str, path: str):
-    if not isinstance(mapping, dict) or key not in mapping:
+    if key not in _as_object(mapping, path):
         raise ConfigError(f"{path}.{key}: required key is missing")
     return mapping[key]
 
@@ -208,7 +215,7 @@ def _game_from_config(cfg: dict) -> ValidatedGame:
 
 
 def _generation_from_config(cfg, path: str) -> GenerationDistribution:
-    if "pmf" in cfg:
+    if "pmf" in _as_object(cfg, path):
         start = _as_int(_require(cfg, "support_min", path), f"{path}.support_min")
         try:
             return GenerationDistribution(start=start, pmf=np.array(cfg["pmf"], dtype=float))
@@ -224,9 +231,12 @@ def _generation_from_config(cfg, path: str) -> GenerationDistribution:
 
 
 def _table_fn(values, path: str, size: int, argname: str):
-    arr = [float(v) for v in values]
-    if len(arr) != size:
+    if not isinstance(values, list) or len(values) != size:
         raise ConfigError(f"{path}: expected {size} values (one per {argname})")
+    arr = [_as_number(v, f"{path}[{k}]") for k, v in enumerate(values)]
+    for k, v in enumerate(arr):
+        if not math.isfinite(v):
+            raise ConfigError(f"{path}[{k}]: expected a finite number, got {v}")
     return lambda k: arr[k]
 
 
@@ -248,7 +258,7 @@ def _prosumer_from_config(entry: dict, path: str) -> ProsumerSpec:
         generation = _generation_from_config(generation_cfg, f"{path}.generation")
     kwargs = {}
     sat = entry.get("satisfaction")
-    if sat is not None and sat.get("kind") != "log1p":
+    if sat is not None and _as_object(sat, f"{path}.satisfaction").get("kind") != "log1p":
         if sat.get("kind") != "table":
             raise ConfigError(f"{path}.satisfaction.kind: expected 'log1p' or 'table'")
         kwargs["satisfaction"] = _table_fn(
@@ -258,7 +268,7 @@ def _prosumer_from_config(entry: dict, path: str) -> ProsumerSpec:
             "consumption level",
         )
     cost = entry.get("storage_cost")
-    if cost is not None and cost.get("kind") != "zero":
+    if cost is not None and _as_object(cost, f"{path}.storage_cost").get("kind") != "zero":
         if cost.get("kind") != "table":
             raise ConfigError(f"{path}.storage_cost.kind: expected 'zero' or 'table'")
         kwargs["storage_cost"] = _table_fn(
@@ -350,7 +360,7 @@ def load_config(path) -> RunConfig:
             initial_delta=_as_number(run.get("initial_delta", 0.5), "run.initial_delta"),
             mode=run.get("mode", "grid"),
             max_candidates=_as_int(run.get("max_candidates", 100_000), "run.max_candidates"),
-            rng_seed=_as_int(run.get("seed", 0), "run.seed"),
+            seed=_as_int(run.get("seed", 0), "run.seed"),
             horizon=None if horizon is None else _as_int(horizon, "run.horizon"),
             refinement_cap=_as_int(run.get("refinement_cap", 6), "run.refinement_cap"),
         )
@@ -507,7 +517,7 @@ def _outdir(args) -> Path:
 
 def _search_settings(cfg: RunConfig, args) -> SearchConfig:
     """The run section's search settings with the command-line overrides."""
-    flags = {"epsilon": args.epsilon, "mode": args.mode, "rng_seed": args.seed}
+    flags = {k: getattr(args, k) for k in ("epsilon", "mode", "seed")}
     try:
         return replace(cfg.search, **{k: v for k, v in flags.items() if v is not None})
     except ValueError as exc:

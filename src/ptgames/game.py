@@ -2,8 +2,8 @@
 
 Each player owns a finite controlled Markov chain (own states, own actions,
 own stage-indexed transition kernel); the players are coupled only through a
-joint payoff defined on the product of all state and action spaces.  Payoff
-outcomes pass through a per-player valuation function and opponents'
+joint payoff, a dense table over the product of all state and action spaces.
+Payoff outcomes pass through a per-player valuation function and opponents'
 probabilities through a per-player weighting function before entering any
 discounted objective, so risk attitudes are part of the game description.
 
@@ -13,10 +13,9 @@ and the per-player valued payoff tables cached.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -316,22 +315,19 @@ class PlayerSpec:
     valuation: ValuationFunction = ValuationFunction.identity()
 
 
-PayoffRule = Callable[[int, tuple, tuple], float]
-
-
 @dataclass(frozen=True)
 class GameSpec:
     """Unvalidated description of an n-player game.
 
-    ``payoff`` is either a dense table of shape
-    (n, S_1, ..., S_n, A_1, ..., A_n) or a rule
-    ``payoff(player, states, actions) -> float`` that gets materialized into
-    such a table during validation (tables are the canonical form).
+    ``payoff`` is a dense numeric table of shape
+    (n, S_1, ..., S_n, A_1, ..., A_n): entry (i, states, actions) is player
+    i's stage payoff.  Validation copies it, unless it already is a
+    read-only float array, which is then shared.
     """
 
     players: tuple
     discount_beta: float
-    payoff: Union[np.ndarray, PayoffRule]
+    payoff: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "players", tuple(self.players))
@@ -420,9 +416,10 @@ def validate_game(spec: GameSpec) -> ValidatedGame:
 
     Raises :class:`GameValidationError` listing all violations: kernel rows
     that do not sum to 1 or contain negative or non-finite probabilities,
-    kernel shapes that disagree with the declared sizes, payoff entries that
-    are missing or non-finite, empty player lists, and a discount factor
-    outside (0, 1).
+    kernel shapes that disagree with the declared sizes, a payoff that is not
+    a numeric table of the declared shape, non-finite payoff entries,
+    valuations that overflow to non-finite values, empty player lists, and a
+    discount factor outside (0, 1).
     """
     problems = []
     players = tuple(spec.players)
@@ -459,56 +456,46 @@ def validate_game(spec: GameSpec) -> ValidatedGame:
 
     table = None
     if n > 0:
-        state_counts = tuple(p.state_count for p in players)
-        action_counts = tuple(p.action_count for p in players)
-        shape = (n, *state_counts, *action_counts)
-        rule_failures = set()
-        if callable(spec.payoff):
-            table = np.empty(shape)
-            for i in range(n):
-                for states in itertools.product(*(range(c) for c in state_counts)):
-                    for actions in itertools.product(*(range(c) for c in action_counts)):
-                        try:
-                            table[(i, *states, *actions)] = float(
-                                spec.payoff(i, states, actions)
-                            )
-                        except Exception as exc:
-                            problems.append(
-                                f"missing payoff entry at (player {i}, s={states}, "
-                                f"a={actions}): {exc}"
-                            )
-                            rule_failures.add((i, *states, *actions))
-                            table[(i, *states, *actions)] = np.nan
-        else:
-            table = np.array(spec.payoff, dtype=float)
-            if table.shape != shape:
-                problems.append(
-                    f"payoff table has shape {table.shape}, expected {shape}"
-                )
-                table = None
-        if table is not None:
-            for idx in np.argwhere(~np.isfinite(table)):
-                key = tuple(int(v) for v in idx)
-                if key in rule_failures:
-                    continue
-                i = key[0]
-                states = key[1 : 1 + n]
-                actions = key[1 + n :]
-                problems.append(
-                    f"non-finite payoff {table[key]} at "
-                    f"(player {i}, s={states}, a={actions})"
-                )
+        shape = (n, *(p.state_count for p in players), *(p.action_count for p in players))
+        try:
+            table = np.asarray(spec.payoff, dtype=float)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"payoff is not a numeric table ({exc})")
+        if table is not None and table.shape != shape:
+            problems.append(f"payoff table has shape {table.shape}, expected {shape}")
+            table = None
+    if table is not None and not np.isfinite(table).all():
+        for idx in np.argwhere(~np.isfinite(table)):
+            key = tuple(int(v) for v in idx)
+            problems.append(
+                f"non-finite payoff {table[key]} at "
+                f"(player {key[0]}, s={key[1 : 1 + n]}, a={key[1 + n :]})"
+            )
+        table = None
+
+    valued, bounds = [], []
+    if table is not None:
+        # a finite payoff can still overflow under a steep valuation
+        with np.errstate(over="ignore"):
+            for i, p in enumerate(players):
+                vi = p.valuation(table[i])
+                bounds.append(np.max(np.abs(vi)))
+                if not math.isfinite(bounds[-1]):
+                    bad = np.argwhere(~np.isfinite(vi))
+                    key = tuple(int(v) for v in bad[0])
+                    problems.append(
+                        f"valuation of player {i} is non-finite at {len(bad)} payoff "
+                        f"entries, first {vi[key]} at (s={key[:n]}, a={key[n:]})"
+                    )
+                valued.append(_valued_payoff_matrix(vi, i, n))
 
     if problems:
         raise GameValidationError(problems)
 
+    if table.flags.writeable:
+        table = table.copy()
     table.setflags(write=False)
-    valued = []
-    bounds = np.empty(n)
-    for i, p in enumerate(players):
-        vi = p.valuation(table[i])
-        bounds[i] = np.max(np.abs(vi))
-        valued.append(_valued_payoff_matrix(vi, i, n))
+    bounds = np.array(bounds)
     bounds.setflags(write=False)
     return ValidatedGame(
         players=players,

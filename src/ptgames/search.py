@@ -86,14 +86,15 @@ class SearchConfig:
     when set (see :meth:`resolve_horizon`).  ``max_candidates`` caps the grid
     size in grid mode and the number of draws per level in sampled mode;
     ``refinement_cap`` bounds how often the lattice step is halved after
-    exhausting a level.  Every range check on these settings lives here.
+    exhausting a level; ``seed`` seeds the sampled mode's generator.  Every
+    range check on these settings lives here.
     """
 
     epsilon: float
     initial_delta: float = 0.5
     mode: str = "grid"
     max_candidates: int = 100_000
-    rng_seed: int = 0
+    seed: int = 0
     horizon: int | None = None
     refinement_cap: int = 6
 
@@ -107,6 +108,8 @@ class SearchConfig:
             raise ValueError(f"mode: expected 'grid' or 'sampled', got {self.mode!r}")
         if self.max_candidates < 1:
             raise ValueError(f"max_candidates: must be positive, got {self.max_candidates}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if self.refinement_cap < 0:
             raise ValueError(f"refinement_cap: must be >= 0, got {self.refinement_cap}")
         if self.horizon is not None and self.horizon < 1:
@@ -463,7 +466,7 @@ def search_sampled(
     :class:`EquilibriumNotFoundError` (carrying the best candidate) when the
     refinement cap runs out.
     """
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(config.seed)
 
     def blocks(grid, rows):
         return _sampled_blocks(grid, rng, config.max_candidates, rows)

@@ -15,8 +15,9 @@ so the stage payoff is
 
     satisfaction(l) - demand * price - storage_cost(x).
 
-``build_prosumer_game`` materializes all of this as a validated game, by
-default with consumption as the only action and demand induced;
+``build_prosumer_game`` builds the whole payoff table by numpy broadcasting
+over per-player level axes and validates the game, by default with
+consumption as the only action and demand induced;
 ``build_simulation_game`` is the fixed three-prosumer instance used for the
 reference run (near-myopic discount 0.001, prelec 0.8 weighting, S-shaped
 valuation).
@@ -187,22 +188,23 @@ class ProsumerSpec:
         return self.generation[min(stage_index, len(self.generation) - 1)]
 
 
-def demand_of(tau: int, consumption: int, storage: int, demand_cap: int) -> int:
+def demand_of(tau, consumption, storage, demand_cap):
     """Demand induced by the reserve rule: request what is missing to cover
-    the target plus consumption, never below 0, never above the cap."""
-    return min(max(0, tau + consumption - storage), demand_cap)
+    the target plus consumption, never below 0, never above the cap.
+    Elementwise on broadcastable integer arrays."""
+    return np.minimum(np.maximum(0, tau + consumption - storage), demand_cap)
 
 
 def fairness_price(demands) -> np.ndarray:
     """Per-unit price charged to each consumer: own share of total demand.
-    All prices are 0 when nobody demands anything."""
-    arr = np.asarray(demands, dtype=float)
-    if np.any(arr < 0.0):
+    All prices are 0 when nobody demands anything.  Consumers run along the
+    leading axis; any further axes are independent demand profiles."""
+    arr = np.array(demands, dtype=float)
+    if not np.all(arr >= 0.0):
         raise ValueError("demands must be nonnegative")
-    total = arr.sum()
-    if total <= 0.0:
-        return np.zeros_like(arr)
-    return arr / total
+    total = arr.sum(axis=0)
+    # where nobody demands, every entry of arr is already 0
+    return np.divide(arr, total, out=arr, where=total > 0.0)
 
 
 def prosumer_payoff(
@@ -219,18 +221,13 @@ def prosumer_payoff(
     )
 
 
-def _step_distribution(
-    spec: ProsumerSpec, storage: int, consumption: int, demand: int, stage_index: int
-) -> np.ndarray:
-    """Distribution of the next battery level given charge, net draw and the
-    stage's generation law."""
-    gen = spec.generation_at(stage_index)
-    out = np.zeros(spec.state_count)
-    base = storage + demand - consumption
-    for offset, mass in enumerate(gen.pmf):
-        level = base + gen.start + offset
-        out[min(max(level, 0), spec.storage_cap)] += mass
-    return out
+def _consumption_and_demand(spec: ProsumerSpec, storage, action, induced_demand: bool):
+    """Decode actions at battery levels, elementwise on broadcastable arrays:
+    with ``induced_demand`` the action is the consumption and demand follows
+    the reserve rule; otherwise it encodes consumption * demand_count + demand."""
+    if induced_demand:
+        return action, demand_of(spec.tau, action, storage, spec.demand_cap)
+    return np.divmod(action, spec.demand_count)
 
 
 def storage_kernel(
@@ -242,46 +239,60 @@ def storage_kernel(
     follows the reserve rule; otherwise the action is the (consumption,
     demand) pair, encoded as consumption * demand_count + demand.
     """
-    S = spec.state_count
-    if induced_demand:
-        table = np.zeros((S, spec.consumption_count, S))
-        for x in range(S):
-            for l in range(spec.consumption_count):
-                d = demand_of(spec.tau, l, x, spec.demand_cap)
-                table[x, l] = _step_distribution(spec, x, l, d, stage_index)
-    else:
-        table = np.zeros((S, spec.consumption_count * spec.demand_count, S))
-        for x in range(S):
-            for l in range(spec.consumption_count):
-                for d in range(spec.demand_count):
-                    table[x, l * spec.demand_count + d] = _step_distribution(
-                        spec, x, l, d, stage_index
-                    )
+    storage = np.arange(spec.state_count)[:, None]
+    actions = np.arange(spec.consumption_count * (1 if induced_demand else spec.demand_count))
+    consumption, demand = _consumption_and_demand(spec, storage, actions, induced_demand)
+    base = storage + demand - consumption
+    gen = spec.generation_at(stage_index)
+    table = np.zeros((*base.shape, spec.state_count))
+    for offset, mass in enumerate(gen.pmf):
+        level = np.clip(base + gen.start + offset, 0, spec.storage_cap)
+        table[storage, actions, level] += mass
     return table
-
-
-def _stage_count(spec: ProsumerSpec) -> int:
-    return len(spec.generation)
 
 
 def _player_from_prosumer(spec: ProsumerSpec, induced_demand: bool) -> PlayerSpec:
     stages = [
         storage_kernel(spec, k, induced_demand=induced_demand)
-        for k in range(_stage_count(spec))
+        for k in range(len(spec.generation))
     ]
     kernel = TransitionKernel.nonstationary(np.array(stages))
-    action_count = (
-        spec.consumption_count
-        if induced_demand
-        else spec.consumption_count * spec.demand_count
-    )
     return PlayerSpec(
-        state_count=spec.state_count,
-        action_count=action_count,
+        state_count=kernel.state_count,
+        action_count=kernel.action_count,
         kernel=kernel,
         weighting=spec.weighting,
         valuation=spec.valuation,
     )
+
+
+def _payoff_table(prosumers, players, induced_demand: bool) -> np.ndarray:
+    """The read-only (n, S_1..S_n, A_1..A_n) table of :func:`prosumer_payoff`
+    values, built by broadcasting: player j's battery level runs along axis j
+    and its action along axis n + j.  Each bill is written over its price, so
+    the table is the only joint-sized array allocated."""
+    n = len(prosumers)
+    shape = (*(p.state_count for p in players), *(p.action_count for p in players))
+
+    def axis(size, k):
+        return np.arange(size).reshape([-1 if j == k else 1 for j in range(2 * n)])
+
+    storages = [axis(p.state_count, j) for j, p in enumerate(players)]
+    actions = [axis(p.action_count, n + j) for j, p in enumerate(players)]
+    decoded = [
+        _consumption_and_demand(p, x, a, induced_demand)
+        for p, x, a in zip(prosumers, storages, actions)
+    ]
+    table = fairness_price([np.broadcast_to(d, shape) for _, d in decoded])
+    for i, (p, (consumption, demand)) in enumerate(zip(prosumers, decoded)):
+        satisfaction = np.array([p.satisfaction(l) for l in range(p.consumption_count)], float)
+        cost = np.array([p.storage_cost(x) for x in range(p.state_count)], float)
+        # satisfaction - demand * price - cost, in prosumer_payoff's order
+        table[i] *= demand
+        np.subtract(satisfaction[consumption], table[i], out=table[i])
+        table[i] -= cost[storages[i]]
+    table.setflags(write=False)
+    return table
 
 
 def build_prosumer_game(
@@ -296,34 +307,17 @@ def build_prosumer_game(
     only and demands follow the reserve rule, so the payoff may depend on
     other prosumers' battery levels through their induced demands; without
     it, actions are (consumption, demand) pairs and the payoff ignores other
-    prosumers' battery levels entirely.
+    prosumers' battery levels entirely.  The payoff table is built by numpy
+    broadcasting, not entry by entry.
     """
     prosumers = tuple(prosumers)
     if not prosumers:
         raise ValueError("need at least one prosumer")
-
-    def payoff(i, states, actions):
-        if induced_demand:
-            consumptions = actions
-            demands = [
-                demand_of(p.tau, actions[j], states[j], p.demand_cap)
-                for j, p in enumerate(prosumers)
-            ]
-        else:
-            consumptions = [a // p.demand_count for a, p in zip(actions, prosumers)]
-            demands = [a % p.demand_count for a, p in zip(actions, prosumers)]
-        return prosumer_payoff(
-            prosumers[i], states[i], consumptions[i], demands, i
-        )
-
-    spec = GameSpec(
-        players=tuple(
-            _player_from_prosumer(p, induced_demand) for p in prosumers
-        ),
-        discount_beta=discount_beta,
-        payoff=payoff,
+    players = tuple(_player_from_prosumer(p, induced_demand) for p in prosumers)
+    payoff = _payoff_table(prosumers, players, induced_demand)
+    return validate_game(
+        GameSpec(players=players, discount_beta=discount_beta, payoff=payoff)
     )
-    return validate_game(spec)
 
 
 def build_simulation_game() -> ValidatedGame:

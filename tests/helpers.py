@@ -1,6 +1,7 @@
 """Shared test utilities: random instance factories and slow independent
 oracles (joint-chain enumeration, brute-force policy search, per-stage
-opponent weights) used to cross-check the vectorized code."""
+opponent weights, per-entry prosumer payoffs) used to cross-check the
+vectorized code."""
 from __future__ import annotations
 
 import itertools
@@ -229,3 +230,32 @@ def enumerate_dm_policies(game, player, rewards, initial_state, horizon=None, ca
             best_choice = choice
     policy = pg.DeterministicMarkovPolicy(player=player, choice=best_choice, action_count=A)
     return policy, best_value
+
+
+def prosumer_payoff_table(prosumers, induced_demand=True):
+    """The prosumer payoff table filled one entry at a time through the
+    scalar ``prosumer_payoff``, with demands from the reserve rule
+    (``induced_demand``) or decoded from the action as
+    consumption * demand_count + demand."""
+    n = len(prosumers)
+
+    def payoff(i, states, actions):
+        if induced_demand:
+            consumptions = actions
+            demands = [
+                pg.demand_of(p.tau, actions[j], states[j], p.demand_cap)
+                for j, p in enumerate(prosumers)
+            ]
+        else:
+            consumptions = [a // p.demand_count for a, p in zip(actions, prosumers)]
+            demands = [a % p.demand_count for a, p in zip(actions, prosumers)]
+        return pg.prosumer_payoff(prosumers[i], states[i], consumptions[i], demands, i)
+
+    action_counts = [
+        p.consumption_count * (1 if induced_demand else p.demand_count)
+        for p in prosumers
+    ]
+    table = np.empty((n, *(p.state_count for p in prosumers), *action_counts))
+    for idx in np.ndindex(*table.shape):
+        table[idx] = payoff(idx[0], idx[1 : 1 + n], idx[1 + n :])
+    return table

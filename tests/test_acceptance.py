@@ -214,7 +214,7 @@ def test_search_results_survive_exhaustive_deviation_checks():
         epsilon = 3.0 * (float(np.max(probe.gaps)) + 0.05)
         mode = "grid" if trial % 2 == 0 else "sampled"
         config = pg.SearchConfig(
-            epsilon=epsilon, mode=mode, horizon=horizon, rng_seed=trial
+            epsilon=epsilon, mode=mode, horizon=horizon, seed=trial
         )
         search = pg.search_grid if mode == "grid" else pg.search_sampled
         cert = search(game, x, config)
@@ -373,3 +373,28 @@ def test_marginal_products_match_joint_chain():
     assert elapsed < budget
     report(9, "marginal factorization", elapsed, budget,
            f"10 games, worst product-vs-joint deviation {worst:.2e}")
+
+
+def test_six_prosumer_instance_builds_within_budget():
+    # the benchmark's prosumer-wide game: 6 * 6**6 payoff entries; filling
+    # them one Python call at a time takes several times the budget
+    budget = 1.0
+    started = time.perf_counter()
+    prosumers = [
+        pg.ProsumerSpec(
+            storage_cap=2,
+            consumption_cap=1,
+            demand_cap=2,
+            tau=k % 2,
+            generation=pg.discretize_gaussian(0.5 + 0.25 * (k % 3), 1.0 + (k % 2)),
+            weighting=pg.WeightingFunction.prelec(0.8),
+            valuation=pg.ValuationFunction.piecewise_power(0.5, 1.0, 0.3),
+        )
+        for k in range(6)
+    ]
+    game = pg.build_prosumer_game(prosumers, discount_beta=0.001)
+    elapsed = time.perf_counter() - started
+    assert game.payoff_table.shape == (6,) + (3,) * 6 + (2,) * 6
+    assert elapsed < budget
+    report(10, "6-prosumer build", elapsed, budget,
+           f"{game.payoff_table.size} payoff entries, bounds {np.round(game.value_bounds, 4)}")

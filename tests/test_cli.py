@@ -74,7 +74,7 @@ def test_load_config_minimal(tmp_path):
     assert cfg.initial_state == (0, 0)
     assert cfg.search.epsilon == 0.1
     assert cfg.search.mode == "grid"
-    assert cfg.search.rng_seed == 0
+    assert cfg.search.seed == 0
     assert cfg.search.initial_delta == 0.5
     assert cfg.search.max_candidates == 100_000
     assert cfg.search.refinement_cap == 6
@@ -333,14 +333,44 @@ def smartgrid_variant(**prosumer0):
          "smartgrid.prosumers[0].valuation: "),
         (smartgrid_variant(valuation={"kind": "piecewise_power", "c1": math.nan, "c2": 1.0, "c3": 0.3}),
          "smartgrid.prosumers[0].valuation: "),
+        (smartgrid_variant(valuation={"kind": "piecewise_power", "c1": 0.5, "c2": 1e308, "c3": 3}),
+         "smartgrid: valuation of player 0 is non-finite at "),
+        (smartgrid_variant(satisfaction={"kind": "table", "values": ["a", 1]}),
+         "smartgrid.prosumers[0].satisfaction.values[0]: expected a number"),
+        (smartgrid_variant(satisfaction=[1, 2]),
+         "smartgrid.prosumers[0].satisfaction: expected an object"),
+        (smartgrid_variant(generation=5),
+         "smartgrid.prosumers[0].generation: expected an object"),
+        (smartgrid_variant(satisfaction={"kind": "table", "values": [0.0, math.nan]}),
+         "smartgrid.prosumers[0].satisfaction.values[1]: expected a finite number"),
+        (smartgrid_variant(storage_cost={"kind": "table", "values": [0.0, -math.inf, 0.0]}),
+         "smartgrid.prosumers[0].storage_cost.values[1]: expected a finite number"),
+        ({"smartgrid": {"beta": 0.5, "prosumers": [5]}, "run": {"x": [0], "epsilon": 0.1}},
+         "smartgrid.prosumers[0]: expected an object"),
     ],
-    ids=["kernel-nan", "alpha-inf", "pmf-nan", "variance-inf", "support-inf", "knot-nan", "c2-inf", "c1-nan"],
+    ids=[
+        "kernel-nan", "alpha-inf", "pmf-nan", "variance-inf", "support-inf", "knot-nan", "c2-inf",
+        "c1-nan", "valuation-overflow", "values-string", "satisfaction-list", "generation-number",
+        "satisfaction-nan", "storage-cost-inf", "prosumer-number",
+    ],
 )
 def test_solve_rejects_non_finite_game_inputs(tmp_path, capsys, doc, message):
     cfg = write_config(tmp_path, doc)  # NaN/inf become the JSON tokens NaN/Infinity
     assert run_cli("solve", "--config", cfg, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, doc_seed, where", [("-1", 0, "--seed"), (None, -1, "run.seed")])
+def test_solve_rejects_negative_seed(tmp_path, capsys, flag, doc_seed, where):
+    cfg = write_config(tmp_path, dominant_config(mode="sampled", seed=doc_seed))
+    argv = ["solve", "--config", cfg, "--out", tmp_path / "out"]
+    if flag is not None:
+        argv += ["--seed", flag]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {where}: must be >= 0, got -1" in err
     assert "Traceback" not in err
 
 

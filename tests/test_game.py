@@ -252,45 +252,36 @@ def test_payoff_shape_mismatch_reported():
     assert any("payoff table has shape" in v for v in err.value.violations)
 
 
-def test_payoff_rule_materialization_matches_table():
-    rng = np.random.default_rng(7)
-    table = rng.normal(size=(2, 2, 3, 2, 2))
+def test_callable_payoff_rejected_as_violation():
+    player = pg.PlayerSpec(state_count=1, action_count=2, kernel=chain([[[1.0], [1.0]]]))
 
     def rule(i, states, actions):
-        return table[(i, *states, *actions)]
-
-    players = tuple(
-        pg.PlayerSpec(
-            state_count=S,
-            action_count=2,
-            kernel=chain(np.full((S, 2, S), 1.0 / S)),
-        )
-        for S in (2, 3)
-    )
-    from_rule = pg.validate_game(
-        pg.GameSpec(players=players, discount_beta=0.5, payoff=rule)
-    )
-    from_table = pg.validate_game(
-        pg.GameSpec(players=players, discount_beta=0.5, payoff=table)
-    )
-    assert np.array_equal(from_rule.payoff_table, from_table.payoff_table)
-    assert np.array_equal(from_rule.value_bounds, from_table.value_bounds)
-
-
-def test_payoff_rule_failures_reported_as_missing_entries():
-    def rule(i, states, actions):
-        if actions[0] == 1:
-            raise KeyError("hole")
         return 0.0
 
-    player = pg.PlayerSpec(
-        state_count=1,
-        action_count=2,
-        kernel=chain([[[1.0], [1.0]]]),
-    )
     with pytest.raises(pg.GameValidationError) as err:
         pg.validate_game(pg.GameSpec(players=(player,), discount_beta=0.5, payoff=rule))
-    assert any("missing payoff entry" in v for v in err.value.violations)
+    (violation,) = err.value.violations
+    assert violation.startswith("payoff is not a numeric table")
+
+
+def test_valuation_overflow_reported_per_player():
+    # -1e308 * 2**3 overflows to -inf although both constants are finite
+    steep = pg.ValuationFunction.piecewise_power(1.0, 1e308, 3.0)
+    players = tuple(
+        pg.PlayerSpec(
+            state_count=1, action_count=2, kernel=chain([[[1.0], [1.0]]]), valuation=steep
+        )
+        for _ in range(2)
+    )
+    payoff = np.zeros((2, 1, 1, 2, 2))
+    payoff[1, 0, 0, 1, :] = -2.0
+    with pytest.raises(pg.GameValidationError) as err:
+        pg.validate_game(pg.GameSpec(players=players, discount_beta=0.5, payoff=payoff))
+    (violation,) = err.value.violations
+    assert violation == (
+        "valuation of player 1 is non-finite at 2 payoff entries, "
+        "first -inf at (s=(0, 0), a=(1, 0))"
+    )
 
 
 def test_value_bounds_use_exhaustive_scan():
@@ -334,3 +325,15 @@ def test_validated_game_arrays_are_read_only():
         game.payoff_table[(0,) * game.payoff_table.ndim] = 99.0
     with pytest.raises(ValueError):
         game.valued_payoffs[0][0, 0] = 99.0
+
+
+def test_writeable_payoff_is_copied_and_read_only_payoff_shared():
+    player = pg.PlayerSpec(state_count=1, action_count=2, kernel=chain([[[1.0], [1.0]]]))
+    payoff = np.array([[[1.0, 2.0]]])
+    game = pg.validate_game(pg.GameSpec(players=(player,), discount_beta=0.5, payoff=payoff))
+    payoff[0, 0, 0] = 7.0
+    assert game.payoff(0, (0,), (0,)) == 1.0
+    assert payoff.flags.writeable
+    payoff.setflags(write=False)
+    shared = pg.validate_game(pg.GameSpec(players=(player,), discount_beta=0.5, payoff=payoff))
+    assert shared.payoff_table is payoff

@@ -304,7 +304,7 @@ def test_exhausted_grid_search_keeps_the_first_of_tied_candidates():
 
 def test_sampled_search_is_deterministic():
     game = dominant_game(2)
-    config = pg.SearchConfig(epsilon=0.1, horizon=2, mode="sampled", rng_seed=11)
+    config = pg.SearchConfig(epsilon=0.1, horizon=2, mode="sampled", seed=11)
     first = pg.search_sampled(game, (0, 0), config)
     second = pg.search_sampled(game, (0, 0), config)
     assert first.passed and second.passed
@@ -319,7 +319,7 @@ def test_sampled_search_agrees_with_grid_on_unique_pass():
     game = dominant_game(2)
     from_grid = pg.search_grid(game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2))
     from_samples = pg.search_sampled(
-        game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2, mode="sampled", rng_seed=3)
+        game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2, mode="sampled", seed=3)
     )
     assert from_samples.passed
     assert from_samples.final_delta == 0.5
@@ -335,7 +335,7 @@ def test_sampled_search_not_found():
         mode="sampled",
         refinement_cap=0,
         initial_delta=0.9,
-        rng_seed=2,
+        seed=2,
     )
     with pytest.raises(pg.EquilibriumNotFoundError) as info:
         pg.search_sampled(game, (0, 0), config)
@@ -364,6 +364,8 @@ def test_search_config_validation():
         pg.SearchConfig(epsilon=0.1, max_candidates=0)
     with pytest.raises(ValueError):
         pg.SearchConfig(epsilon=0.1, refinement_cap=-1)
+    with pytest.raises(ValueError, match="seed: must be >= 0"):
+        pg.SearchConfig(epsilon=0.1, seed=-1)
     for epsilon in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             pg.SearchConfig(epsilon=epsilon)
@@ -498,15 +500,15 @@ BLOCK_CASES = [
     (pg.search_grid, pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9)),
     (pg.search_grid, pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2)),
     # rejection sampling with 40 draws from 81 profiles per level
-    (pg.search_sampled, dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2, max_candidates=40, rng_seed=4)),
+    (pg.search_sampled, dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2, max_candidates=40, seed=4)),
     # whole-grid shuffles across refinements
-    (pg.search_sampled, pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9, rng_seed=1)),
+    (pg.search_sampled, pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9, seed=1)),
     (pg.search_sampled, pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2)),
     # ties between candidates that differ only in unreachable cells
     (pg.search_grid, unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=0)),
     (pg.search_sampled, unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=1, max_candidates=50)),
     # the reference instance: 463 draws, passing in the second default block
-    (pg.search_sampled, pg.build_simulation_game(), pg.SearchConfig(epsilon=1e-3, rng_seed=3)),
+    (pg.search_sampled, pg.build_simulation_game(), pg.SearchConfig(epsilon=1e-3, seed=3)),
 ]
 
 

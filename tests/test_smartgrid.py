@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ptgames as pg
+from helpers import prosumer_payoff_table
 
 # largest |valued payoff| per prosumer in the reference instance, frozen
 SIMULATION_VALUE_BOUNDS = (
@@ -40,6 +41,9 @@ def test_demand_examples():
     assert pg.demand_of(1, 1, 1, 2) == 1
     assert pg.demand_of(2, 2, 0, 2) == 2  # capped below the shortfall of 4
     assert pg.demand_of(0, 1, 0, 1) == 1
+    # elementwise on broadcast arrays: consumption along columns, storage rows
+    grid = pg.demand_of(1, np.array([0, 1]), np.array([[0], [2]]), 2)
+    assert np.array_equal(grid, [[1, 2], [0, 0]])
 
 
 def test_demand_monotonicity():
@@ -203,6 +207,12 @@ def test_fairness_price_examples():
     assert np.array_equal(pg.fairness_price([3.0]), [1.0])
     with pytest.raises(ValueError):
         pg.fairness_price([1.0, -0.5])
+    with pytest.raises(ValueError):
+        pg.fairness_price([1.0, math.nan])
+    # consumers on the leading axis, one demand profile per column
+    demands = np.array([[1.0, 0.0, 3.0], [1.0, 0.0, 1.0]])
+    assert np.array_equal(pg.fairness_price(demands), [[0.5, 0.0, 0.75], [0.5, 0.0, 0.25]])
+    assert np.array_equal(demands, [[1.0, 0.0, 3.0], [1.0, 0.0, 1.0]])  # input untouched
 
 
 def test_prosumer_payoff_examples():
@@ -282,6 +292,47 @@ def test_encodings_agree_on_induced_demands():
                 assert induced.payoff(i, states, consumptions) == pytest.approx(
                     full.payoff(i, states, actions), abs=1e-15
                 )
+
+
+# (storage_cap, consumption_cap, demand_cap, tau) per prosumer, all unequal
+UNEQUAL_CAPS = [(2, 1, 2, 1), (1, 2, 1, 0), (0, 1, 1, 0), (1, 0, 2, 1)]
+
+
+@pytest.mark.parametrize("induced_demand", [True, False], ids=["induced", "full"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_broadcast_payoff_matches_per_entry_reference(n, induced_demand):
+    rng = np.random.default_rng(40 + n)
+    valuation = pg.ValuationFunction.piecewise_power(0.5, 1.0, 0.3)
+    specs = []
+    for k, (storage_cap, consumption_cap, demand_cap, tau) in enumerate(UNEQUAL_CAPS[:n]):
+        extra = {}
+        if k % 2:  # custom tables on every other prosumer
+            satisfaction = rng.normal(size=consumption_cap + 1)
+            cost = rng.uniform(0.0, 0.5, size=storage_cap + 1)
+            extra = dict(
+                satisfaction=lambda l, t=satisfaction: t[l],
+                storage_cost=lambda x, t=cost: t[x],
+            )
+        generation = (pg.discretize_gaussian(0.5, 1.0), point_mass(k % 2))
+        specs.append(pg.ProsumerSpec(
+            storage_cap=storage_cap,
+            consumption_cap=consumption_cap,
+            demand_cap=demand_cap,
+            tau=tau,
+            generation=generation if k != 2 else generation[0],  # per-stage or not
+            valuation=valuation,
+            **extra,
+        ))
+    game = pg.build_prosumer_game(specs, 0.3, induced_demand=induced_demand)
+    reference = pg.validate_game(pg.GameSpec(
+        players=game.players,
+        discount_beta=0.3,
+        payoff=prosumer_payoff_table(specs, induced_demand),
+    ))
+    assert np.array_equal(game.payoff_table, reference.payoff_table)
+    for mine, theirs in zip(game.valued_payoffs, reference.valued_payoffs):
+        assert np.array_equal(mine, theirs)
+    assert np.array_equal(game.value_bounds, reference.value_bounds)
 
 
 def test_simulation_game_shape_and_bounds():
