@@ -48,10 +48,7 @@ from .search import (
     ProfileGrid,
     SearchConfig,
     certify,
-    grid_profiles,
-    sampled_profile_indices,
-    search_grid,
-    search_sampled,
+    search_equilibrium,
     simplex_grid,
 )
 from .smartgrid import (
@@ -101,10 +98,7 @@ __all__ = [
     "ProfileGrid",
     "SearchConfig",
     "certify",
-    "grid_profiles",
-    "sampled_profile_indices",
-    "search_grid",
-    "search_sampled",
+    "search_equilibrium",
     "simplex_grid",
     "GenerationDistribution",
     "ProsumerSpec",

@@ -108,18 +108,31 @@ def backward_induction(
         )
     if not 0 <= initial_state < S:
         raise ValueError(f"initial state {initial_state} outside 0..{S - 1}")
-    values = np.empty((m, S))
-    choice = np.empty((m, S), dtype=int)
-    q = rewards.rewards[m - 1]
-    choice[m - 1] = np.argmax(q, axis=1)
-    values[m - 1] = np.max(q, axis=1)
-    for k in range(m - 2, -1, -1):
-        q = rewards.rewards[k] + np.einsum("sap,p->sa", game.kernel(player, k), values[k + 1])
-        choice[k] = np.argmax(q, axis=1)
-        values[k] = np.max(q, axis=1)
-    policy = DeterministicMarkovPolicy(player=player, choice=choice, action_count=A)
+    values, choice = _backward(game, player, rewards.rewards[np.newaxis, :m])
+    policy = DeterministicMarkovPolicy(player=player, choice=choice[0], action_count=A)
     return BestResponseResult(
         policy=policy,
-        value=float(values[0, initial_state]),
-        stage_state_values=values,
+        value=float(values[0, 0, initial_state]),
+        stage_state_values=values[0],
     )
+
+
+def _backward(game: ValidatedGame, player: int, q: np.ndarray):
+    """Optimal values and optimal actions, each of shape (rows, horizon, S),
+    for a block of discounted stage rewards ``q`` (rows, horizon, S, A) of
+    one player; unchecked.
+
+    From the last stage backwards, an action's reward-to-go is its reward
+    plus the expected optimal value of the next stage; the optimal action is
+    the lowest-index maximizer.
+    """
+    rows, m, S, _ = q.shape
+    values = np.empty((rows, m, S))
+    choice = np.empty((rows, m, S), dtype=int)
+    for k in range(m - 1, -1, -1):
+        to_go = q[:, k]
+        if k < m - 1:
+            to_go = to_go + np.einsum("sap,bp->bsa", game.kernel(player, k), best)
+        choice[:, k] = to_go.argmax(axis=2)
+        best = values[:, k] = to_go.max(axis=2)
+    return values, choice

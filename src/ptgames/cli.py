@@ -48,8 +48,7 @@ from .search import (
     GridTooLargeError,
     SearchConfig,
     certify,
-    search_grid,
-    search_sampled,
+    search_equilibrium,
 )
 from .smartgrid import (
     GenerationDistribution,
@@ -440,7 +439,13 @@ def _profile_from_csv(path, game: ValidatedGame):
             f"{sorted(tables)}"
         )
     profile = []
-    for i in range(game.n):
+    for i, p in enumerate(game.players):
+        sizes = tables[i].shape[1:]
+        if sizes != (p.state_count, p.action_count):
+            raise ConfigError(
+                f"{path}: player {i}: strategy has sizes {sizes}, game declares "
+                f"({p.state_count}, {p.action_count})"
+            )
         try:
             profile.append(MarkovStrategy(player=i, dist=tables[i]))
         except ValueError as exc:
@@ -528,11 +533,10 @@ def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     search = _search_settings(cfg, args)
     outdir = _outdir(args)
-    run = search_grid if search.mode == "grid" else search_sampled
     started = time.perf_counter()
     status = 0
     try:
-        cert = run(cfg.game, cfg.initial_state, search)
+        cert = search_equilibrium(cfg.game, cfg.initial_state, search)
     except EquilibriumNotFoundError as exc:
         cert = exc.best_certificate
         status = 1
@@ -605,8 +609,6 @@ def _game_to_document(game: ValidatedGame) -> dict:
                 c2=p.valuation.loss_scale,
                 c3=p.valuation.loss_exponent,
             )
-        elif p.valuation.kind == "custom":
-            raise ConfigError("custom valuations cannot be exported to JSON")
         kernel = p.kernel
         players.append(
             {

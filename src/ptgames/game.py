@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -173,25 +173,19 @@ class WeightingFunction:
         return out.reshape(arr.shape)
 
 
-def _identity_fn(y: float) -> float:
-    return y
-
-
 @dataclass(frozen=True)
 class ValuationFunction:
     """Outcome valuation v: R -> R, applied to raw payoffs before weighting.
 
     ``piecewise_power(c1, c2, c3)`` values gains as y**c1 and losses as
     -c2 * (-y)**c3 (all three constants positive), the usual S-shaped curve
-    through the origin.  ``identity`` keeps payoffs as-is; ``custom`` wraps an
-    arbitrary scalar function.
+    through the origin.  ``identity`` keeps payoffs as-is.
     """
 
     kind: str
     gain_exponent: float = 1.0
     loss_scale: float = 1.0
     loss_exponent: float = 1.0
-    fn: Callable[[float], float] = _identity_fn
 
     def __post_init__(self):
         if self.kind == "piecewise_power":
@@ -201,7 +195,7 @@ class ValuationFunction:
                     "piecewise_power constants must all be positive and finite, got "
                     f"({self.gain_exponent}, {self.loss_scale}, {self.loss_exponent})"
                 )
-        elif self.kind not in ("identity", "custom"):
+        elif self.kind != "identity":
             raise ValueError(f"unknown valuation kind {self.kind!r}")
 
     @staticmethod
@@ -217,10 +211,6 @@ class ValuationFunction:
     def identity() -> "ValuationFunction":
         return ValuationFunction(kind="identity")
 
-    @staticmethod
-    def custom(fn: Callable[[float], float]) -> "ValuationFunction":
-        return ValuationFunction(kind="custom", fn=fn)
-
     def __call__(self, y):
         """Evaluate the valuation; accepts scalars or arrays of payoffs."""
         arr = np.asarray(y, dtype=float)
@@ -228,12 +218,10 @@ class ValuationFunction:
         flat = np.atleast_1d(arr)
         if self.kind == "identity":
             out = flat
-        elif self.kind == "piecewise_power":
+        else:
             gains = np.power(np.maximum(flat, 0.0), self.gain_exponent)
             losses = -self.loss_scale * np.power(np.maximum(-flat, 0.0), self.loss_exponent)
             out = np.where(flat >= 0.0, gains, losses)
-        else:
-            out = np.array([float(self.fn(v)) for v in flat.ravel()]).reshape(flat.shape)
         if scalar:
             return float(out[0])
         return out.reshape(arr.shape)

@@ -189,19 +189,23 @@ def forward_marginals(
     player's own kernel, collecting the (state, action) occupancy of stages
     1..``horizon``.
     """
-    i = strategy.player
-    _check_player_dims(game, i, strategy.state_count, strategy.action_count)
-    S, A = strategy.state_count, strategy.action_count
-    if not 0 <= initial_state < S:
-        raise ValueError(f"initial state {initial_state} outside 0..{S - 1}")
+    _check_strategy(game, strategy, initial_state, horizon)
+    probs = _propagate(game, strategy.player, strategy.dist[np.newaxis], initial_state, horizon)
+    return MarginalTable(player=strategy.player, probs=probs[0])
+
+
+def _check_strategy(game: ValidatedGame, strategy: MarkovStrategy, initial_state: int, horizon: int):
+    """Reject a strategy that does not fit its player's chain, start state
+    and ``horizon``: what :func:`_propagate` takes on trust."""
+    _check_player_dims(game, strategy.player, strategy.state_count, strategy.action_count)
+    if not 0 <= initial_state < strategy.state_count:
+        raise ValueError(f"initial state {initial_state} outside 0..{strategy.state_count - 1}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if strategy.horizon < horizon:
         raise ValueError(
             f"strategy covers {strategy.horizon} stages, horizon {horizon} requested"
         )
-    probs = _propagate(game, i, strategy.dist[np.newaxis], initial_state, horizon)
-    return MarginalTable(player=i, probs=probs[0])
 
 
 def _propagate(

@@ -5,29 +5,29 @@ is within epsilon/3 of that player's exact best-response value against the
 others; by the truncation bounds this makes the profile an epsilon-
 equilibrium of the infinite-horizon game.  The candidate set is the grid of
 profiles whose per-(stage, state) action distributions have coordinates on a
-uniform simplex lattice.  ``search_grid`` scans the grid exhaustively in a
-fixed order; ``search_sampled`` draws candidates uniformly without
-replacement from the same grid (the only option when the grid is too large
-or no Lipschitz step is available).  Both halve the lattice step and retry
-when a level is exhausted, up to a refinement cap.
+uniform simplex lattice.  ``search_equilibrium`` either scans the grid
+exhaustively in a fixed order (grid mode) or draws candidates uniformly
+without replacement from it (sampled mode, the only option when the grid is
+too large or no Lipschitz step is available), and halves the lattice step
+and retries when a level is exhausted, up to a refinement cap.
 
-Both searches certify candidates in blocks of per-cell index rows: one
-batched pass computes every row's gaps with the same operations ``certify``
-applies to one profile.  Only the winning row is turned into a profile and
-re-certified by ``certify``, so every returned certificate comes from it.
+There is one certification pass, ``_evaluate``: stage marginals, stage
+terms and backward induction for a block of profiles at once.  The search
+runs it on blocks of lattice index rows and builds the winner's certificate
+from the winning row; ``certify`` runs it on a block of one profile.  Both
+certificates come from the same operations, so they agree bit for bit.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import StageRewardTable, backward_induction
-from .criterion import _check_marginal_tables, _stage_terms, truncation_horizon
+from .best_response import _backward
+from .criterion import _stage_terms, truncation_horizon
 from .game import ValidatedGame
-from .marginals import MarkovStrategy, _distribution_problem, _propagate, forward_marginals
+from .marginals import MarkovStrategy, _check_strategy, _distribution_problem, _propagate
 
 __all__ = [
     "GridTooLargeError",
@@ -36,11 +36,8 @@ __all__ = [
     "EquilibriumCertificate",
     "simplex_grid",
     "ProfileGrid",
-    "grid_profiles",
-    "sampled_profile_indices",
     "certify",
-    "search_grid",
-    "search_sampled",
+    "search_equilibrium",
 ]
 
 # Numerical slack on the pass condition; gaps are differences of values
@@ -80,7 +77,7 @@ class EquilibriumNotFoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of both search modes.
+    """Knobs of the search, in both modes.
 
     ``horizon`` overrides the truncation horizon computed from ``epsilon``
     when set (see :meth:`resolve_horizon`).  ``max_candidates`` caps the grid
@@ -130,7 +127,7 @@ class EquilibriumCertificate:
     ``best_values[i]`` the exact best-response value against the others, and
     ``gaps[i]`` their difference (nonnegative up to numerics).  ``passed``
     holds exactly when the largest gap is at most epsilon/3 plus slack.
-    ``candidates_examined``/``final_delta`` are filled in by the searches.
+    ``candidates_examined``/``final_delta`` are filled in by the search.
     """
 
     profile: tuple
@@ -179,69 +176,57 @@ class ProfileGrid:
     one lattice distribution per cell, and enumeration is lexicographic over
     the per-cell indices with the last cell varying fastest.  That makes "the
     first passing profile" well defined and bit-reproducible, and halving the
-    step always produces a superset of the previous lattice.
+    step always produces a superset of the previous lattice.  A grid of more
+    than ``cap`` profiles raises :class:`GridTooLargeError` before any
+    lattice is built.
     """
 
-    def __init__(self, game: ValidatedGame, horizon: int, delta: float):
+    def __init__(self, game: ValidatedGame, horizon: int, delta: float, cap: int | None = None):
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.game = game
         self.horizon = horizon
         self.resolution = max(1, math.ceil(1.0 / delta - 1e-9))
         self.delta = 1.0 / self.resolution
+        # a lattice over A actions has C(resolution + A - 1, A - 1) rows
+        self.cell_sizes = [
+            math.comb(self.resolution + p.action_count - 1, p.action_count - 1)
+            for p in game.players
+            for _ in range(horizon * p.state_count)
+        ]
+        self.total_profiles = math.prod(self.cell_sizes)
+        if cap is not None and self.total_profiles > cap:
+            raise GridTooLargeError(
+                f"profile grid holds {self.total_profiles} candidates, above the cap "
+                f"{cap}; use sampled mode"
+            )
         self._options = {}
         for p in game.players:
             if p.action_count not in self._options:
                 options = simplex_grid(p.action_count, self.delta)
-                # the batched kernel reads these rows without building a
+                # the batched pass reads these rows without building a
                 # MarkovStrategy, so they get the strategy rule here, once
                 problem = _distribution_problem(options)
                 if problem is not None:
                     raise ValueError(f"lattice row {problem[1][0]}: {problem[0]}")
                 self._options[p.action_count] = options
-        self.cell_sizes = []
-        for p in game.players:
-            size = len(self._options[p.action_count])
-            self.cell_sizes.extend([size] * (horizon * p.state_count))
-        self.total_profiles = 1
-        for size in self.cell_sizes:
-            self.total_profiles *= size
 
-    def distributions(self, player: int) -> np.ndarray:
-        """Lattice distributions available to ``player`` in each cell."""
-        return self._options[self.game.players[player].action_count]
-
-    def index_tuples(self):
-        """All per-cell index assignments in enumeration order."""
-        return itertools.product(*(range(size) for size in self.cell_sizes))
+    def strategies(self, block: np.ndarray) -> list:
+        """Per-player strategy blocks, each of shape (rows, horizon, S, A), of
+        the profiles whose per-cell indices are the rows of ``block``."""
+        out = []
+        start = 0
+        for p in self.game.players:
+            stop = start + self.horizon * p.state_count
+            dist = self._options[p.action_count][block[:, start:stop]]
+            out.append(dist.reshape(len(block), self.horizon, p.state_count, p.action_count))
+            start = stop
+        return out
 
     def profile_at(self, indices) -> tuple:
         """Materialize the profile for one per-cell index assignment."""
-        out = []
-        pos = 0
-        for i, p in enumerate(self.game.players):
-            options = self._options[p.action_count]
-            dist = np.empty((self.horizon, p.state_count, p.action_count))
-            for t in range(self.horizon):
-                for s in range(p.state_count):
-                    dist[t, s] = options[indices[pos]]
-                    pos += 1
-            out.append(MarkovStrategy(player=i, dist=dist))
-        return tuple(out)
-
-
-def grid_profiles(
-    delta: float, game: ValidatedGame, horizon: int, cap: int | None = None
-) -> ProfileGrid:
-    """Build the profile grid for one lattice step, refusing grids whose full
-    enumeration would exceed ``cap`` candidates (use sampled mode there)."""
-    grid = ProfileGrid(game, horizon, delta)
-    if cap is not None and grid.total_profiles > cap:
-        raise GridTooLargeError(
-            f"profile grid holds {grid.total_profiles} candidates, above the cap "
-            f"{cap}; use sampled mode"
-        )
-    return grid
+        dists = self.strategies(np.asarray(indices)[np.newaxis])
+        return tuple(MarkovStrategy(player=i, dist=d[0]) for i, d in enumerate(dists))
 
 
 def _unravel(flat: np.ndarray, grid: ProfileGrid) -> np.ndarray:
@@ -257,13 +242,18 @@ def _grid_blocks(grid: ProfileGrid, rows: int):
 
 
 def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, rows: int):
-    """The draws of :func:`sampled_profile_indices`, at most ``rows`` at a time.
+    """Distinct per-cell index rows drawn uniformly from ``grid``, at most
+    ``rows`` at a time: at most ``limit`` in all, fewer when the grid is
+    exhausted first.
 
-    A block of ``m`` rows comes from one ``rng.integers`` call of size
-    (m, cells), which yields the same numbers as ``m`` single draws; ``m``
-    never exceeds the draws the budget or the attempt cap has left, so the
-    generator stops where per-draw sampling stops.  The sequence is thus the
-    same for every ``rows``.
+    Grids of at most ``limit`` profiles are shuffled whole; larger ones use
+    rejection against a visited set (uniform per-cell draws are uniform over
+    the product), at most 20 * ``limit`` attempts.  A block of ``m`` rows
+    comes from one ``rng.integers`` call of size (m, cells), which yields the
+    same numbers as ``m`` single draws; ``m`` never exceeds the draws the
+    budget or the attempt cap has left, so the generator stops where
+    per-draw sampling stops.  The sequence is thus the same for every
+    ``rows``.
     """
     if grid.total_profiles <= limit:
         order = rng.permutation(grid.total_profiles)
@@ -290,17 +280,60 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
             yield draws[fresh]
 
 
-def sampled_profile_indices(grid: ProfileGrid, rng: np.random.Generator, limit: int):
-    """Yield distinct per-cell index tuples drawn uniformly from ``grid``:
-    at most ``limit``, fewer when the grid is exhausted first.
+def _initial_state(game: ValidatedGame, initial_state) -> tuple:
+    x = tuple(int(v) for v in initial_state)
+    if len(x) != game.n:
+        raise ValueError(
+            f"initial state has {len(x)} components, game has {game.n} players"
+        )
+    for i, (s, p) in enumerate(zip(x, game.players)):
+        if not 0 <= s < p.state_count:
+            raise ValueError(
+                f"initial state {s} of player {i} outside 0..{p.state_count - 1}"
+            )
+    return x
 
-    Small grids are shuffled whole; larger ones use rejection against a
-    visited set (uniform per-cell draws are uniform over the product).  The
-    sequence is fully determined by the generator state, which advances one
-    draw per rejection attempt as the tuples are consumed.
+
+def _evaluate(game: ValidatedGame, dists, x: tuple, horizon: int):
+    """Values and best-response values, each of shape (rows, players), of a
+    block of profiles given as per-player strategy blocks ``dists``, each of
+    shape (rows, >= horizon, S, A); unchecked.
+
+    The certification pass: stage marginals (``_propagate``), every player's
+    stage terms (``_stage_terms``), then backward induction (``_backward``).
+    Rows with identical inputs get identical results in any block, so ties
+    break as in a per-candidate scan and a block of one reproduces a row.
     """
-    for block in _sampled_blocks(grid, rng, limit, rows=1):
-        yield from map(tuple, block.tolist())
+    tables = [_propagate(game, i, dist, x[i], horizon) for i, dist in enumerate(dists)]
+    rows = len(tables[0])
+    values = np.empty((rows, game.n))
+    best_values = np.empty((rows, game.n))
+    for i, p in enumerate(game.players):
+        rewards, contributions = _stage_terms(game, i, tables, horizon)
+        optimum, _ = _backward(game, i, rewards.reshape(rows, horizon, p.state_count, p.action_count))
+        values[:, i] = contributions.sum(axis=1)
+        best_values[:, i] = optimum[:, 0, x[i]]
+    return values, best_values
+
+
+def _passes(worst, epsilon: float):
+    """The pass rule on a profile's largest gap ``worst`` (or an array of
+    them): no player gains more than epsilon/3 plus slack by deviating."""
+    return worst <= epsilon / 3.0 + PASS_SLACK
+
+
+def _certificate(profile, values, best_values, epsilon, horizon, **search) -> EquilibriumCertificate:
+    gaps = best_values - values
+    return EquilibriumCertificate(
+        profile=profile,
+        values=values,
+        best_values=best_values,
+        gaps=gaps,
+        epsilon=epsilon,
+        horizon=horizon,
+        passed=bool(_passes(np.max(gaps), epsilon)),
+        **search,
+    )
 
 
 def certify(
@@ -325,150 +358,64 @@ def certify(
         raise ValueError(
             f"profile has {len(profile)} strategies, game has {game.n} players"
         )
-    marginals = [
-        forward_marginals(game, profile[i], x[i], horizon) for i in range(game.n)
-    ]
-    _check_marginal_tables(game, marginals, horizon)
-    tables = [table.probs[np.newaxis] for table in marginals]
-    values = np.empty(game.n)
-    best = np.empty(game.n)
-    for i, p in enumerate(game.players):
-        rewards, contributions = _stage_terms(game, i, tables, horizon)
-        values[i] = contributions[0].sum()
-        table = rewards[0].reshape(horizon, p.state_count, p.action_count)
-        best[i] = backward_induction(game, i, StageRewardTable(i, table), x[i], horizon).value
-    gaps = best - values
-    passed = bool(np.max(gaps) <= epsilon / 3.0 + PASS_SLACK)
-    return EquilibriumCertificate(
-        profile=profile,
-        values=values,
-        best_values=best,
-        gaps=gaps,
-        epsilon=epsilon,
-        horizon=horizon,
-        passed=passed,
-    )
+    for i, strategy in enumerate(profile):
+        if strategy.player != i:
+            raise ValueError(f"strategy at position {i} belongs to player {strategy.player}")
+        _check_strategy(game, strategy, x[i], horizon)
+    values, best_values = _evaluate(game, [s.dist[np.newaxis] for s in profile], x, horizon)
+    return _certificate(profile, values[0], best_values[0], epsilon, horizon)
 
 
-def _initial_state(game: ValidatedGame, initial_state) -> tuple:
-    x = tuple(int(v) for v in initial_state)
-    if len(x) != game.n:
-        raise ValueError(
-            f"initial state has {len(x)} components, game has {game.n} players"
-        )
-    for i, (s, p) in enumerate(zip(x, game.players)):
-        if not 0 <= s < p.state_count:
-            raise ValueError(
-                f"initial state {s} of player {i} outside 0..{p.state_count - 1}"
-            )
-    return x
+def search_equilibrium(
+    game: ValidatedGame, initial_state, config: SearchConfig
+) -> EquilibriumCertificate:
+    """Return the first lattice profile that passes certification.
 
-
-def _block_values(
-    game: ValidatedGame, grid: ProfileGrid, block: np.ndarray, initial_state: tuple, horizon: int
-):
-    """Values and best-response values, each of shape (rows, players), of the
-    lattice profiles whose per-cell indices are the rows of ``block``.
-
-    ``certify`` with a leading batch axis: the same stage marginals and
-    stage terms, then backward induction on the maxima only.  Rows with
-    identical inputs get identical results in any block, so ties break as
-    in a per-candidate scan.
-    """
-    rows = len(block)
-    tables = []
-    start = 0
-    for i, p in enumerate(game.players):
-        cells = block[:, start : start + horizon * p.state_count]
-        start += horizon * p.state_count
-        dist = grid.distributions(i)[cells].reshape(rows, horizon, p.state_count, p.action_count)
-        tables.append(_propagate(game, i, dist, initial_state[i], horizon))
-    values = np.empty((rows, game.n))
-    best_values = np.empty((rows, game.n))
-    for i, p in enumerate(game.players):
-        rewards, contributions = _stage_terms(game, i, tables, horizon)
-        q = rewards.reshape(rows, horizon, p.state_count, p.action_count)
-        best = q[:, -1].max(axis=2)
-        for k in range(horizon - 2, -1, -1):
-            best = (q[:, k] + np.einsum("sap,bp->bsa", game.kernel(i, k), best)).max(axis=2)
-        values[:, i] = contributions.sum(axis=1)
-        best_values[:, i] = best[:, initial_state[i]]
-    return values, best_values
-
-
-def _search(game: ValidatedGame, initial_state, config: SearchConfig, blocks, cap):
-    """The level loop of both searches.
-
-    ``blocks(grid, rows)`` yields a level's candidates as per-cell index
-    arrays of at most ``rows`` rows, in the order candidates are adjudicated;
-    ``cap`` bounds each level's grid size (None for no bound).  Rows the
-    kernel passes are re-certified by ``certify`` in order, and the first
-    that passes there wins; on exhaustion the first candidate with the
-    smallest worst gap is re-certified and carried by the error.
+    ``config.mode`` picks each level's candidates: ``"grid"`` scans every
+    profile in enumeration order and raises :class:`GridTooLargeError` when
+    a level holds more than ``max_candidates``; ``"sampled"`` draws up to
+    ``max_candidates`` distinct profiles uniformly from a generator seeded
+    with ``seed``, so it is deterministic too.  Candidates are certified in
+    blocks by ``_evaluate``, and the first passing row's certificate is built
+    from its own values.  An exhausted level halves the step, up to
+    ``refinement_cap`` times; then :class:`EquilibriumNotFoundError` carries
+    the certificate of the first candidate with the smallest worst gap.
     """
     x = _initial_state(game, initial_state)
     horizon = config.resolve_horizon(game)
     widest = max(game.opponent_pair_count(i) for i in range(game.n))
     rows = max(1, _BLOCK_ELEMENTS // widest)
-    allowance = config.epsilon / 3.0 + PASS_SLACK
+    grid_mode = config.mode == "grid"
+    rng = np.random.default_rng(config.seed)
     examined = 0
-    best = None  # (worst gap, grid, indices)
-    resolution = None
+    best = None  # (worst gap, grid, index row, values, best-response values)
+    delta = config.initial_delta
     for _level in range(config.refinement_cap + 1):
-        delta = config.initial_delta if resolution is None else 1.0 / resolution
-        grid = grid_profiles(delta, game, horizon, cap=cap)
-        resolution = 2 * grid.resolution
-        for block in blocks(grid, rows):
-            values, best_values = _block_values(game, grid, block, x, horizon)
+        grid = ProfileGrid(game, horizon, delta, cap=config.max_candidates if grid_mode else None)
+        delta = 1.0 / (2 * grid.resolution)
+        if grid_mode:
+            blocks = _grid_blocks(grid, rows)
+        else:
+            blocks = _sampled_blocks(grid, rng, config.max_candidates, rows)
+        for block in blocks:
+            values, best_values = _evaluate(game, grid.strategies(block), x, horizon)
             worst = (best_values - values).max(axis=1)
-            for r in np.flatnonzero(worst <= allowance):
-                cert = certify(game, grid.profile_at(block[r]), x, horizon, config.epsilon)
-                if cert.passed:
-                    return replace(
-                        cert, candidates_examined=examined + int(r) + 1, final_delta=grid.delta
-                    )
+            passing = np.flatnonzero(_passes(worst, config.epsilon))
+            if len(passing):
+                r = int(passing[0])
+                return _certificate(
+                    grid.profile_at(block[r]), values[r], best_values[r], config.epsilon,
+                    horizon, candidates_examined=examined + r + 1, final_delta=grid.delta,
+                )
             r = int(np.argmin(worst))
             if best is None or worst[r] < best[0]:
-                best = (worst[r], grid, block[r])
+                best = (worst[r], grid, block[r], values[r], best_values[r])
             examined += len(block)
     cert = None
     if best is not None:
-        _, grid, indices = best
-        cert = replace(
-            certify(game, grid.profile_at(indices), x, horizon, config.epsilon),
-            candidates_examined=examined,
-            final_delta=2.0 / resolution,
+        _, where, indices, values, best_values = best
+        cert = _certificate(
+            where.profile_at(indices), values, best_values, config.epsilon, horizon,
+            candidates_examined=examined, final_delta=grid.delta,
         )
     raise EquilibriumNotFoundError(cert, config.refinement_cap + 1)
-
-
-def search_grid(
-    game: ValidatedGame, initial_state, config: SearchConfig
-) -> EquilibriumCertificate:
-    """Scan each lattice level's profiles in enumeration order and return the
-    first certificate that passes; halve the step on exhaustion.
-
-    Raises :class:`GridTooLargeError` when a level cannot be enumerated
-    within ``max_candidates`` and :class:`EquilibriumNotFoundError` when the
-    refinement cap runs out (the latter carries the best candidate seen).
-    """
-    return _search(game, initial_state, config, _grid_blocks, cap=config.max_candidates)
-
-
-def search_sampled(
-    game: ValidatedGame, initial_state, config: SearchConfig
-) -> EquilibriumCertificate:
-    """Certify up to ``max_candidates`` profiles per lattice level, drawn
-    uniformly without replacement from the grid by a seeded generator; halve
-    the step when a level is exhausted or its budget is spent.
-
-    Fully deterministic for a given seed.  Raises
-    :class:`EquilibriumNotFoundError` (carrying the best candidate) when the
-    refinement cap runs out.
-    """
-    rng = np.random.default_rng(config.seed)
-
-    def blocks(grid, rows):
-        return _sampled_blocks(grid, rng, config.max_candidates, rows)
-
-    return _search(game, initial_state, config, blocks, cap=None)

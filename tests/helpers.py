@@ -1,7 +1,7 @@
 """Shared test utilities: random instance factories and slow independent
 oracles (joint-chain enumeration, brute-force policy search, per-stage
-opponent weights, per-entry prosumer payoffs) used to cross-check the
-vectorized code."""
+opponent weights, per-entry prosumer payoffs, per-draw sampling) used to
+cross-check the vectorized code, and index-tuple views of profile grids."""
 from __future__ import annotations
 
 import itertools
@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 
 import ptgames as pg
+from ptgames import search
 
 
 def random_kernel(rng, state_count, action_count, stages=1):
@@ -146,11 +147,24 @@ def classical_joint_value(game, profile, initial_state, horizon, player):
     return total
 
 
+def index_tuples(grid):
+    """All per-cell index assignments of a ``ProfileGrid`` in enumeration
+    order."""
+    return itertools.product(*(range(size) for size in grid.cell_sizes))
+
+
+def sampled_profile_indices(grid, rng, limit):
+    """The sampled search's draws as one index tuple at a time: a flat view
+    over blocks of one row."""
+    for block in search._sampled_blocks(grid, rng, limit, rows=1):
+        yield from map(tuple, block.tolist())
+
+
 def per_draw_profile_indices(grid, rng, limit):
     """Reference sampler: one generator call per candidate tuple, with the
-    same shuffle and rejection rules as ``sampled_profile_indices``."""
+    same shuffle and rejection rules as the sampled search."""
     if grid.total_profiles <= limit:
-        everything = list(grid.index_tuples())
+        everything = list(index_tuples(grid))
         for pos in rng.permutation(len(everything)):
             yield everything[pos]
         return

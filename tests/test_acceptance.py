@@ -216,8 +216,7 @@ def test_search_results_survive_exhaustive_deviation_checks():
         config = pg.SearchConfig(
             epsilon=epsilon, mode=mode, horizon=horizon, seed=trial
         )
-        search = pg.search_grid if mode == "grid" else pg.search_sampled
-        cert = search(game, x, config)
+        cert = pg.search_equilibrium(game, x, config)
         assert cert.passed
 
         tables = [

@@ -460,6 +460,21 @@ def test_certify_flags_failing_profile(tmp_path, capsys):
     assert "failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, flag", [("certify", "--profile"), ("marginals", "--strategy")])
+def test_strategy_csv_with_wrong_sizes_is_a_config_error(tmp_path, capsys, command, flag):
+    # the bundled instance gives every prosumer 3 battery levels and 2 actions;
+    # dropping player 1's state-2 rows leaves a (2, 2) table
+    uniform = np.full((3, 3, 2), 0.5)
+    full = tmp_path / "full.csv"
+    cli.write_probability_csv(full, [(i, uniform) for i in range(3)])
+    lines = full.read_text().splitlines()
+    cut = tmp_path / "cut.csv"
+    cut.write_text("\n".join(l for l in lines if not l.startswith("1,") or l.split(",")[2] != "2") + "\n")
+    assert run_cli(command, "--config", BUNDLED_CONFIG, "--out", tmp_path / "out", flag, cut) == 2
+    err = capsys.readouterr().err
+    assert f"{cut}: player 1: strategy has sizes (2, 2), game declares (3, 2)" in err
+
+
 def test_marginals_command(tmp_path):
     cfg_doc = dominant_config()
     cfg = write_config(tmp_path, cfg_doc)

@@ -142,12 +142,6 @@ def test_piecewise_power_rejects_nonpositive_constants():
             pg.ValuationFunction.piecewise_power(c1, c2, c3)
 
 
-def test_custom_valuation_applies_function():
-    v = pg.ValuationFunction.custom(lambda y: 2.0 * y + 1.0)
-    assert v(1.5) == 4.0
-    assert np.allclose(v(np.array([0.0, -1.0])), [1.0, -1.0])
-
-
 # ---------- kernels ----------
 
 

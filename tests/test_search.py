@@ -1,4 +1,6 @@
-"""Lattice enumeration, certification, and both equilibrium searches."""
+"""Lattice enumeration, certification, and the equilibrium search in both modes."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ import ptgames as pg
 from ptgames import criterion, search
 from helpers import (
     enumerate_dm_policies,
+    index_tuples,
     opponent_weight_vector,
     per_draw_profile_indices,
     random_game,
     random_kernel,
     random_profile,
+    sampled_profile_indices,
 )
 
 BETA = 0.1
@@ -127,34 +131,48 @@ def test_profile_grid_layout():
 def test_profile_grid_enumeration_order():
     game = dominant_game(1)
     grid = pg.ProfileGrid(game, 1, 0.5)
-    tuples = list(grid.index_tuples())
+    tuples = list(index_tuples(grid))
     assert tuples == [(0,), (1,), (2,)]
-    dists = [grid.profile_at(t)[0].dist[0, 0].tolist() for t in grid.index_tuples()]
+    dists = [grid.profile_at(t)[0].dist[0, 0].tolist() for t in tuples]
     assert dists == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
 
 
 def test_grid_profiles_cap():
     game = dominant_game(2)
     with pytest.raises(pg.GridTooLargeError, match="use sampled mode"):
-        pg.grid_profiles(0.5, game, 2, cap=80)
-    grid = pg.grid_profiles(0.5, game, 2, cap=81)
+        pg.ProfileGrid(game, 2, 0.5, cap=80)
+    grid = pg.ProfileGrid(game, 2, 0.5, cap=81)
     assert grid.total_profiles == 81
+
+
+def test_grid_cap_is_checked_before_any_lattice_is_built(monkeypatch):
+    # a step of 1e-6 would build lattices of 10**6 rows before refusing
+    def refuse(*args):
+        raise AssertionError("simplex_grid called for an oversized grid")
+
+    monkeypatch.setattr(search, "simplex_grid", refuse)
+    game = dominant_game(2)
+    with pytest.raises(pg.GridTooLargeError, match="1000002000001 candidates"):
+        pg.ProfileGrid(game, 1, 1e-6, cap=10**6)
+    config = pg.SearchConfig(epsilon=0.1, horizon=1, initial_delta=1e-6, max_candidates=10**6)
+    with pytest.raises(pg.GridTooLargeError):
+        pg.search_equilibrium(game, (0, 0), config)
 
 
 def test_sampled_indices_cover_small_grids_exactly_once():
     game = dominant_game(2)
     grid = pg.ProfileGrid(game, 1, 0.5)  # 9 profiles
     rng = np.random.default_rng(5)
-    drawn = list(pg.sampled_profile_indices(grid, rng, 100))
+    drawn = list(sampled_profile_indices(grid, rng, 100))
     assert len(drawn) == 9
-    assert set(drawn) == set(grid.index_tuples())
+    assert set(drawn) == set(index_tuples(grid))
 
 
 def test_sampled_indices_without_replacement_under_limit():
     game = dominant_game(2)
     grid = pg.ProfileGrid(game, 2, 0.5)  # 81 profiles
     rng = np.random.default_rng(6)
-    drawn = list(pg.sampled_profile_indices(grid, rng, 40))
+    drawn = list(sampled_profile_indices(grid, rng, 40))
     assert len(drawn) == 40
     assert len(set(drawn)) == 40
     for indices in drawn:
@@ -164,8 +182,8 @@ def test_sampled_indices_without_replacement_under_limit():
 def test_sampled_indices_deterministic():
     game = dominant_game(2)
     grid = pg.ProfileGrid(game, 2, 0.5)
-    a = list(pg.sampled_profile_indices(grid, np.random.default_rng(7), 25))
-    b = list(pg.sampled_profile_indices(grid, np.random.default_rng(7), 25))
+    a = list(sampled_profile_indices(grid, np.random.default_rng(7), 25))
+    b = list(sampled_profile_indices(grid, np.random.default_rng(7), 25))
     assert a == b
 
 
@@ -213,7 +231,7 @@ def test_grid_search_scans_to_the_unique_pass():
     # on the half-step lattice only the all-zeros profile closes the gap,
     # and it is the very last candidate in enumeration order
     game = dominant_game(2)
-    cert = pg.search_grid(
+    cert = pg.search_equilibrium(
         game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2)
     )
     assert cert.passed
@@ -225,7 +243,7 @@ def test_grid_search_scans_to_the_unique_pass():
 
 def test_grid_search_huge_epsilon_takes_first_candidate():
     game = dominant_game(2)
-    cert = pg.search_grid(
+    cert = pg.search_equilibrium(
         game, (0, 0), pg.SearchConfig(epsilon=1e6, horizon=2)
     )
     assert cert.passed
@@ -238,7 +256,7 @@ def test_grid_search_single_player_reaches_optimum():
     rng = np.random.default_rng(50)
     for _ in range(5):
         game = random_game(rng, n=1, max_states=2, max_actions=3)
-        cert = pg.search_grid(
+        cert = pg.search_equilibrium(
             game, (0,), pg.SearchConfig(epsilon=0.05, horizon=2)
         )
         tables = [pg.forward_marginals(game, cert.profile[0], 0, 2)]
@@ -251,7 +269,7 @@ def test_grid_search_single_player_reaches_optimum():
 def test_grid_search_rejects_oversized_grid():
     game = dominant_game(2)
     with pytest.raises(pg.GridTooLargeError, match="use sampled mode"):
-        pg.search_grid(
+        pg.search_equilibrium(
             game,
             (0, 0),
             pg.SearchConfig(epsilon=0.1, horizon=2, max_candidates=80),
@@ -264,7 +282,7 @@ def test_grid_search_not_found_carries_best_candidate():
         epsilon=0.01, horizon=1, refinement_cap=0, initial_delta=0.9
     )
     with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_grid(game, (0, 0), config)
+        pg.search_equilibrium(game, (0, 0), config)
     err = info.value
     assert err.levels == 1
     best = err.best_certificate
@@ -280,7 +298,7 @@ def test_grid_search_refines_until_pass():
     # step-1/4 lattices is 0.25, dropping to 0.078125 at step 1/8, so this
     # tolerance forces exactly two refinements
     game = pennies_game()
-    cert = pg.search_grid(
+    cert = pg.search_equilibrium(
         game,
         (0, 0),
         pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9),
@@ -293,7 +311,7 @@ def test_grid_search_refines_until_pass():
 def test_exhausted_grid_search_keeps_the_first_of_tied_candidates():
     config = pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=0)
     with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_grid(unreachable_state_pennies(), (0, 0), config)
+        pg.search_equilibrium(unreachable_state_pennies(), (0, 0), config)
     best = info.value.best_certificate
     assert best.candidates_examined == 81
     assert np.max(best.gaps) == pytest.approx(0.25, abs=1e-12)
@@ -305,8 +323,8 @@ def test_exhausted_grid_search_keeps_the_first_of_tied_candidates():
 def test_sampled_search_is_deterministic():
     game = dominant_game(2)
     config = pg.SearchConfig(epsilon=0.1, horizon=2, mode="sampled", seed=11)
-    first = pg.search_sampled(game, (0, 0), config)
-    second = pg.search_sampled(game, (0, 0), config)
+    first = pg.search_equilibrium(game, (0, 0), config)
+    second = pg.search_equilibrium(game, (0, 0), config)
     assert first.passed and second.passed
     assert first.candidates_examined == second.candidates_examined
     assert np.array_equal(first.values, second.values)
@@ -317,8 +335,8 @@ def test_sampled_search_is_deterministic():
 def test_sampled_search_agrees_with_grid_on_unique_pass():
     # only one lattice profile passes, so both modes must land on it
     game = dominant_game(2)
-    from_grid = pg.search_grid(game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2))
-    from_samples = pg.search_sampled(
+    from_grid = pg.search_equilibrium(game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2))
+    from_samples = pg.search_equilibrium(
         game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2, mode="sampled", seed=3)
     )
     assert from_samples.passed
@@ -338,7 +356,7 @@ def test_sampled_search_not_found():
         seed=2,
     )
     with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_sampled(game, (0, 0), config)
+        pg.search_equilibrium(game, (0, 0), config)
     best = info.value.best_certificate
     assert best.candidates_examined == 9  # grid smaller than the budget
     assert np.max(best.gaps) == pytest.approx(0.25, abs=1e-12)
@@ -346,7 +364,7 @@ def test_sampled_search_not_found():
 
 def test_certificate_revalidates_bit_for_bit():
     game = dominant_game(3)
-    cert = pg.search_grid(game, (0, 0, 0), pg.SearchConfig(epsilon=0.2, horizon=1))
+    cert = pg.search_equilibrium(game, (0, 0, 0), pg.SearchConfig(epsilon=0.2, horizon=1))
     again = pg.certify(game, cert.profile, (0, 0, 0), cert.horizon, cert.epsilon)
     assert again.passed
     assert np.max(np.abs(again.gaps - cert.gaps)) < 1e-12
@@ -370,7 +388,7 @@ def test_search_config_validation():
         with pytest.raises(ValueError, match="finite"):
             pg.SearchConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
-        pg.search_grid(
+        pg.search_equilibrium(
             dominant_game(1), (0,), pg.SearchConfig(epsilon=0.1, horizon=0)
         )
 
@@ -378,7 +396,7 @@ def test_search_config_validation():
 def test_search_rejects_initial_state_outside_the_chain():
     # the batched kernel indexes by the start state, where -1 would wrap
     with pytest.raises(ValueError, match="initial state -1 of player 1"):
-        pg.search_grid(dominant_game(2), (0, -1), pg.SearchConfig(epsilon=0.1, horizon=1))
+        pg.search_equilibrium(dominant_game(2), (0, -1), pg.SearchConfig(epsilon=0.1, horizon=1))
 
 
 # ------------------------------------------------------- batched certification
@@ -411,6 +429,8 @@ def mixed_size_game(rng, n, weighting, stages):
 @pytest.mark.parametrize("stages", [1, 2])
 @pytest.mark.parametrize("n", [2, 3])
 def test_block_kernel_matches_scalar_certify(kind, stages, n):
+    # certify runs the batched pass on a block of one, so every row must
+    # equal it bit for bit wherever it sits in a 40-row block
     rng = np.random.default_rng([n, stages, sorted(WEIGHTINGS).index(kind)])
     game = mixed_size_game(rng, n, WEIGHTINGS[kind], stages)
     horizon = 3
@@ -418,21 +438,26 @@ def test_block_kernel_matches_scalar_certify(kind, stages, n):
     x = tuple(int(rng.integers(p.state_count)) for p in game.players)
     block = np.stack([rng.integers(0, c, size=40) for c in grid.cell_sizes], axis=1)
     block[-1] = block[0]  # identical inputs at two positions
-    values, best = search._block_values(game, grid, block, x, horizon)
+    values, best = search._evaluate(game, grid.strategies(block), x, horizon)
     gaps = best - values
     assert np.array_equal(gaps[-1], gaps[0])
-    alone = search._block_values(game, grid, block[:1], x, horizon)
-    assert np.array_equal(alone[0][0], values[0]) and np.array_equal(alone[1][0], best[0])
     # an allowance that about half the rows meet, so both verdicts occur
     epsilon = 3.0 * float(np.median(gaps.max(axis=1)))
-    verdicts = gaps.max(axis=1) <= epsilon / 3.0 + search.PASS_SLACK
+    verdicts = search._passes(gaps.max(axis=1), epsilon)
     assert 0 < verdicts.sum() < len(block)
     for r, indices in enumerate(block):
         cert = pg.certify(game, grid.profile_at(indices), x, horizon, epsilon)
-        assert np.max(np.abs(values[r] - cert.values)) <= 1e-12
-        assert np.max(np.abs(best[r] - cert.best_values)) <= 1e-12
-        assert np.max(np.abs(gaps[r] - cert.gaps)) <= 1e-12
-        assert verdicts[r] == cert.passed
+        assert np.array_equal(cert.values, values[r])
+        assert np.array_equal(cert.best_values, best[r])
+        assert cert.passed == verdicts[r]
+    # best responses against brute force over every deterministic policy
+    for r in range(3):
+        profile = grid.profile_at(block[r])
+        tables = [pg.forward_marginals(game, s, x[s.player], horizon) for s in profile]
+        for i in range(n):
+            rewards = pg.induced_stage_rewards(game, i, tables, horizon)
+            _, optimum = enumerate_dm_policies(game, i, rewards, x[i], horizon)
+            assert best[r, i] == pytest.approx(optimum, rel=1e-12, abs=1e-13)
 
 
 @pytest.mark.parametrize("kind", sorted(WEIGHTINGS))
@@ -477,7 +502,7 @@ def test_block_sampler_keeps_the_per_draw_sequence(n, horizon, limit):
     for seed in range(4):
         reference_rng = np.random.default_rng(seed)
         expected = list(per_draw_profile_indices(grid, reference_rng, limit))
-        assert list(pg.sampled_profile_indices(grid, np.random.default_rng(seed), limit)) == expected
+        assert list(sampled_profile_indices(grid, np.random.default_rng(seed), limit)) == expected
         for rows in (1, 7, 64):
             rng = np.random.default_rng(seed)
             blocks = list(search._sampled_blocks(grid, rng, limit, rows))
@@ -490,31 +515,31 @@ def test_grid_blocks_follow_enumeration_order():
     grid = pg.ProfileGrid(dominant_game(2), 2, 0.5)
     for rows in (1, 7, 81, 500):
         blocks = list(search._grid_blocks(grid, rows))
-        assert [tuple(r) for block in blocks for r in block.tolist()] == list(grid.index_tuples())
+        assert [tuple(r) for block in blocks for r in block.tolist()] == list(index_tuples(grid))
 
 
 BLOCK_CASES = [
     # unique pass at the last of 81 candidates
-    (pg.search_grid, dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2)),
+    (dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2)),
     # passes after two refinements; not found after two
-    (pg.search_grid, pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9)),
-    (pg.search_grid, pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2)),
+    (pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9)),
+    (pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2)),
     # rejection sampling with 40 draws from 81 profiles per level
-    (pg.search_sampled, dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2, max_candidates=40, seed=4)),
+    (dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2, mode="sampled", max_candidates=40, seed=4)),
     # whole-grid shuffles across refinements
-    (pg.search_sampled, pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9, seed=1)),
-    (pg.search_sampled, pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2)),
+    (pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9, mode="sampled", seed=1)),
+    (pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, mode="sampled", refinement_cap=2)),
     # ties between candidates that differ only in unreachable cells
-    (pg.search_grid, unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=0)),
-    (pg.search_sampled, unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=1, max_candidates=50)),
+    (unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=0)),
+    (unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, mode="sampled", refinement_cap=1, max_candidates=50)),
     # the reference instance: 463 draws, passing in the second default block
-    (pg.search_sampled, pg.build_simulation_game(), pg.SearchConfig(epsilon=1e-3, seed=3)),
+    (pg.build_simulation_game(), pg.SearchConfig(epsilon=1e-3, mode="sampled", seed=3)),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
 def test_search_results_do_not_depend_on_block_size(monkeypatch, case):
-    run, game, config = BLOCK_CASES[case]
+    game, config = BLOCK_CASES[case]
     x = (0,) * game.n
     widest = max(game.opponent_pair_count(i) for i in range(game.n))
     results = []
@@ -522,7 +547,7 @@ def test_search_results_do_not_depend_on_block_size(monkeypatch, case):
         if rows is not None:
             monkeypatch.setattr(search, "_BLOCK_ELEMENTS", rows * widest)
         try:
-            results.append(run(game, x, config))
+            results.append(pg.search_equilibrium(game, x, config))
         except pg.EquilibriumNotFoundError as exc:
             results.append(exc.best_certificate)
         monkeypatch.undo()
@@ -534,3 +559,33 @@ def test_search_results_do_not_depend_on_block_size(monkeypatch, case):
         assert np.array_equal(cert.gaps, first.gaps)
         for a, b in zip(cert.profile, first.profile):
             assert np.array_equal(a.dist, b.dist)
+
+
+@pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
+def test_search_certificate_equals_certify_of_its_profile(case):
+    # the search builds its certificate from the kernel's row; the cases
+    # pass and exhaust in both modes, and certify of the profile must
+    # reproduce the certificate
+    game, config = BLOCK_CASES[case]
+    x = (0,) * game.n
+    try:
+        cert = pg.search_equilibrium(game, x, config)
+    except pg.EquilibriumNotFoundError as exc:
+        cert = exc.best_certificate
+    again = pg.certify(game, cert.profile, x, cert.horizon, cert.epsilon)
+    assert again.passed == cert.passed
+    for field in ("values", "best_values", "gaps"):
+        assert np.array_equal(getattr(again, field), getattr(cert, field))
+
+
+def test_search_equilibrium_honours_the_mode():
+    game = dominant_game(2)
+    grid = pg.SearchConfig(epsilon=0.1, horizon=2)
+    sampled = replace(grid, mode="sampled", seed=3)
+    assert pg.search_equilibrium(game, (0, 0), grid).candidates_examined == 81
+    # the unique pass is the 30th profile of this seed's shuffle of all 81
+    assert pg.search_equilibrium(game, (0, 0), sampled).candidates_examined == 30
+    # the grid cap binds grid mode only
+    with pytest.raises(pg.GridTooLargeError):
+        pg.search_equilibrium(game, (0, 0), replace(grid, max_candidates=80))
+    pg.search_equilibrium(game, (0, 0), replace(sampled, max_candidates=80))
