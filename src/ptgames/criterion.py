@@ -94,6 +94,13 @@ def _check_marginal_tables(game: ValidatedGame, marginals, horizon: int, skip: i
             )
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """The one accuracy rule: epsilon is a positive, finite number.  The
+    message starts with the field name, which callers may prefix."""
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon: must be positive and finite, got {epsilon}")
+
+
 def _stage_terms(game: ValidatedGame, player: int, tables, horizon: int):
     """Discounted induced stage rewards, shape (rows, horizon, S*A), and the
     player's discounted stage contributions, shape (rows, horizon), for a
@@ -155,8 +162,7 @@ def truncation_horizon(epsilon: float, game: ValidatedGame) -> TruncationParams:
     Players whose payoffs value to zero everywhere put no constraint on the
     horizon; if that is all of them, any horizon works and 1 is returned.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     beta = game.discount_beta
     sizes = game.joint_state_count * game.joint_action_count
     worst = 1
@@ -192,8 +198,7 @@ def lipschitz_delta(epsilon: float, game: ValidatedGame, lipschitz_bound: float 
     payoffs value to zero everywhere admit any grid, and step 1 is returned
     for them.  Raises ValueError when the step is too small for a float.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     if lipschitz_bound is not None and lipschitz_bound < 1.0:
         raise ValueError(f"Lipschitz bound must be >= 1, got {lipschitz_bound}")
     constants = [p.weighting.lipschitz_constant for p in game.players]

@@ -11,11 +11,14 @@ without replacement from it (sampled mode, the only option when the grid is
 too large or no Lipschitz step is available), and halves the lattice step
 and retries when a level is exhausted, up to a refinement cap.
 
-There is one certification pass, ``_evaluate``: stage marginals, stage
-terms and backward induction for a block of profiles at once.  The search
-runs it on blocks of lattice index rows and builds the winner's certificate
-from the winning row; ``certify`` runs it on a block of one profile.  Both
-certificates come from the same operations, so they agree bit for bit.
+There is one certification pass, ``_evaluate``: stage marginals, then per
+player stage terms and backward induction, for a block of profiles at once.
+The search runs it on blocks of lattice index rows with the best worst gap
+so far as a cutoff, so a row is dropped at the first player whose gap
+reaches it, and builds the winner's certificate from the winning row, which
+is always evaluated in full.  ``certify`` runs it on a block of one profile
+without a cutoff.  Both certificates come from the same operations, so they
+agree bit for bit.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .best_response import _backward
-from .criterion import _stage_terms, truncation_horizon
+from .criterion import _check_epsilon, _stage_terms, truncation_horizon
 from .game import ValidatedGame
 from .marginals import MarkovStrategy, _check_strategy, _distribution_problem, _propagate
 
@@ -59,10 +62,11 @@ class EquilibriumNotFoundError(RuntimeError):
     """No profile passed certification within the refinement cap.
 
     ``best_certificate`` keeps the closest candidate found (smallest worst
-    gap) so callers can report how near the search came.
+    gap) so callers can report how near the search came; ``stop`` says why
+    refinement ended before the cap, when it did.
     """
 
-    def __init__(self, best_certificate, levels: int):
+    def __init__(self, best_certificate, levels: int, stop: str | None = None):
         self.best_certificate = best_certificate
         self.levels = levels
         gap = float(np.max(best_certificate.gaps)) if best_certificate else math.inf
@@ -72,6 +76,7 @@ class EquilibriumNotFoundError(RuntimeError):
         super().__init__(
             f"no profile passed certification within {levels} grid level(s); "
             f"best worst-case gap {gap:.6g} against allowance {allowance:.6g}"
+            + ("" if stop is None else f"; refinement stopped: {stop}")
         )
 
 
@@ -97,8 +102,7 @@ class SearchConfig:
 
     def __post_init__(self):
         # messages start with the field name, which callers may prefix
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon: must be positive and finite, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if not 0.0 < self.initial_delta < 1.0:
             raise ValueError(f"initial_delta: must lie in (0,1), got {self.initial_delta}")
         if self.mode not in ("grid", "sampled"):
@@ -153,8 +157,32 @@ def simplex_grid(action_count: int, delta: float) -> np.ndarray:
         raise ValueError(f"need at least one action, got {action_count}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"grid step must lie in (0,1], got {delta}")
-    resolution = max(1, math.ceil(1.0 / delta - 1e-9))
+    resolution = _resolution(delta)
     return np.array(list(_compositions(resolution, action_count)), dtype=float) / resolution
+
+
+def _resolution(delta: float) -> int:
+    """Lattice resolution of a grid step: 1/``delta`` rounded up."""
+    return max(1, math.ceil(1.0 / delta - 1e-9))
+
+
+def _cell_sizes(game: ValidatedGame, horizon: int, resolution: int, cap: int | None = None) -> list:
+    """Lattice rows per (player, stage, state) cell at ``resolution``; raises
+    :class:`GridTooLargeError` when the grid holds more than ``cap``
+    profiles."""
+    # a lattice over A actions has C(resolution + A - 1, A - 1) rows
+    sizes = [
+        math.comb(resolution + p.action_count - 1, p.action_count - 1)
+        for p in game.players
+        for _ in range(horizon * p.state_count)
+    ]
+    total = math.prod(sizes)
+    if cap is not None and total > cap:
+        raise GridTooLargeError(
+            f"profile grid at step {1.0 / resolution:g} holds {total} candidates, "
+            f"above the cap {cap}; use sampled mode"
+        )
+    return sizes
 
 
 def _compositions(total: int, parts: int):
@@ -186,20 +214,10 @@ class ProfileGrid:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.game = game
         self.horizon = horizon
-        self.resolution = max(1, math.ceil(1.0 / delta - 1e-9))
+        self.resolution = _resolution(delta)
         self.delta = 1.0 / self.resolution
-        # a lattice over A actions has C(resolution + A - 1, A - 1) rows
-        self.cell_sizes = [
-            math.comb(self.resolution + p.action_count - 1, p.action_count - 1)
-            for p in game.players
-            for _ in range(horizon * p.state_count)
-        ]
+        self.cell_sizes = _cell_sizes(game, horizon, self.resolution, cap)
         self.total_profiles = math.prod(self.cell_sizes)
-        if cap is not None and self.total_profiles > cap:
-            raise GridTooLargeError(
-                f"profile grid holds {self.total_profiles} candidates, above the cap "
-                f"{cap}; use sampled mode"
-            )
         self._options = {}
         for p in game.players:
             if p.action_count not in self._options:
@@ -280,6 +298,33 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
             yield draws[fresh]
 
 
+def _steps(delta: float, levels: int):
+    """The grid steps of ``levels`` refinement levels from ``delta``: each
+    level halves the previous level's effective step."""
+    for _ in range(levels):
+        yield delta
+        delta = 1.0 / (2 * _resolution(delta))
+
+
+def _levels_within_cap(game: ValidatedGame, horizon: int, config: SearchConfig) -> tuple:
+    """Grid mode's level count: the levels before the first one whose grid
+    holds more than ``max_candidates`` profiles, with that level's refusal
+    (None when all fit).  Sizes are checked before any candidate is
+    certified, so a first level above the cap raises
+    :class:`GridTooLargeError` at once and no later one wastes the work of
+    the levels before it."""
+    for level, delta in enumerate(_steps(config.initial_delta, config.refinement_cap + 1)):
+        try:
+            sizes = _cell_sizes(game, horizon, _resolution(delta), config.max_candidates)
+        except GridTooLargeError as exc:
+            if level == 0:
+                raise
+            return level, str(exc)
+        if math.prod(sizes) == 1:
+            break  # one action per player: every level is this one profile
+    return config.refinement_cap + 1, None
+
+
 def _initial_state(game: ValidatedGame, initial_state) -> tuple:
     x = tuple(int(v) for v in initial_state)
     if len(x) != game.n:
@@ -294,25 +339,36 @@ def _initial_state(game: ValidatedGame, initial_state) -> tuple:
     return x
 
 
-def _evaluate(game: ValidatedGame, dists, x: tuple, horizon: int):
+def _evaluate(game: ValidatedGame, dists, x: tuple, horizon: int, cutoff: float = math.inf):
     """Values and best-response values, each of shape (rows, players), of a
     block of profiles given as per-player strategy blocks ``dists``, each of
     shape (rows, >= horizon, S, A); unchecked.
 
-    The certification pass: stage marginals (``_propagate``), every player's
-    stage terms (``_stage_terms``), then backward induction (``_backward``).
+    The certification pass: stage marginals (``_propagate``), then per player
+    in ascending order the stage terms (``_stage_terms``) and backward
+    induction (``_backward``).  A row whose gap for some player is at least
+    ``cutoff`` is dropped there: later players skip it and its entries stay
+    NaN, so its largest evaluated gap (``np.fmax``) is at least ``cutoff``.
     Rows with identical inputs get identical results in any block, so ties
     break as in a per-candidate scan and a block of one reproduces a row.
     """
     tables = [_propagate(game, i, dist, x[i], horizon) for i, dist in enumerate(dists)]
-    rows = len(tables[0])
-    values = np.empty((rows, game.n))
-    best_values = np.empty((rows, game.n))
+    values = np.full((len(tables[0]), game.n), np.nan)
+    best_values = np.full_like(values, np.nan)
+    live = np.arange(len(values))
     for i, p in enumerate(game.players):
         rewards, contributions = _stage_terms(game, i, tables, horizon)
-        optimum, _ = _backward(game, i, rewards.reshape(rows, horizon, p.state_count, p.action_count))
-        values[:, i] = contributions.sum(axis=1)
-        best_values[:, i] = optimum[:, 0, x[i]]
+        optimum, _ = _backward(game, i, rewards.reshape(len(live), horizon, p.state_count, p.action_count))
+        value = contributions.sum(axis=1)
+        best = optimum[:, 0, x[i]]
+        values[live, i] = value
+        best_values[live, i] = best
+        keep = ~(best - value >= cutoff)
+        if not keep.any():
+            break
+        if not keep.all():
+            live = live[keep]
+            tables = [t[keep] for t in tables]
     return values, best_values
 
 
@@ -350,8 +406,7 @@ def certify(
     passes when no player can gain more than ``epsilon``/3 (plus numerical
     slack) by deviating.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     x = _initial_state(game, initial_state)
     profile = tuple(profile)
     if len(profile) != game.n:
@@ -373,33 +428,39 @@ def search_equilibrium(
 
     ``config.mode`` picks each level's candidates: ``"grid"`` scans every
     profile in enumeration order and raises :class:`GridTooLargeError` when
-    a level holds more than ``max_candidates``; ``"sampled"`` draws up to
-    ``max_candidates`` distinct profiles uniformly from a generator seeded
-    with ``seed``, so it is deterministic too.  Candidates are certified in
+    the first level holds more than ``max_candidates``; ``"sampled"`` draws
+    up to ``max_candidates`` distinct profiles uniformly from a generator
+    seeded with ``seed``, so it is deterministic too.  Candidates are certified in
     blocks by ``_evaluate``, and the first passing row's certificate is built
     from its own values.  An exhausted level halves the step, up to
-    ``refinement_cap`` times; then :class:`EquilibriumNotFoundError` carries
-    the certificate of the first candidate with the smallest worst gap.
+    ``refinement_cap`` times (in grid mode, never into a level above the
+    cap); then :class:`EquilibriumNotFoundError` carries the certificate of
+    the first candidate with the smallest worst gap.
     """
     x = _initial_state(game, initial_state)
     horizon = config.resolve_horizon(game)
     widest = max(game.opponent_pair_count(i) for i in range(game.n))
     rows = max(1, _BLOCK_ELEMENTS // widest)
     grid_mode = config.mode == "grid"
+    levels, stop = config.refinement_cap + 1, None
+    if grid_mode:
+        levels, stop = _levels_within_cap(game, horizon, config)
     rng = np.random.default_rng(config.seed)
     examined = 0
     best = None  # (worst gap, grid, index row, values, best-response values)
-    delta = config.initial_delta
-    for _level in range(config.refinement_cap + 1):
-        grid = ProfileGrid(game, horizon, delta, cap=config.max_candidates if grid_mode else None)
-        delta = 1.0 / (2 * grid.resolution)
+    for delta in _steps(config.initial_delta, levels):
+        grid = ProfileGrid(game, horizon, delta)
         if grid_mode:
             blocks = _grid_blocks(grid, rows)
         else:
             blocks = _sampled_blocks(grid, rng, config.max_candidates, rows)
         for block in blocks:
-            values, best_values = _evaluate(game, grid.strategies(block), x, horizon)
-            worst = (best_values - values).max(axis=1)
+            # a row with a gap of at least the best worst gap so far can
+            # neither pass (that gap failed) nor replace it (strict <), so
+            # its later players are skipped
+            cutoff = math.inf if best is None else best[0]
+            values, best_values = _evaluate(game, grid.strategies(block), x, horizon, cutoff)
+            worst = np.fmax.reduce(best_values - values, axis=1)
             passing = np.flatnonzero(_passes(worst, config.epsilon))
             if len(passing):
                 r = int(passing[0])
@@ -418,4 +479,4 @@ def search_equilibrium(
             where.profile_at(indices), values, best_values, config.epsilon, horizon,
             candidates_examined=examined, final_delta=grid.delta,
         )
-    raise EquilibriumNotFoundError(cert, config.refinement_cap + 1)
+    raise EquilibriumNotFoundError(cert, levels, stop)

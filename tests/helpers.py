@@ -86,6 +86,23 @@ def random_game(
     )
 
 
+def six_prosumers():
+    """The prosumers of the benchmark's 6-prosumer game (7,776 opponent
+    tuples per weight vector), for ``pg.build_prosumer_game`` at beta 0.001."""
+    return [
+        pg.ProsumerSpec(
+            storage_cap=2,
+            consumption_cap=1,
+            demand_cap=2,
+            tau=k % 2,
+            generation=pg.discretize_gaussian(0.5 + 0.25 * (k % 3), 1.0 + (k % 2)),
+            weighting=pg.WeightingFunction.prelec(0.8),
+            valuation=pg.ValuationFunction.piecewise_power(0.5, 1.0, 0.3),
+        )
+        for k in range(6)
+    ]
+
+
 def random_strategy(rng, game, player, horizon):
     spec = game.players[player]
     raw = rng.random((horizon, spec.state_count, spec.action_count)) + 1e-3

@@ -21,6 +21,7 @@ from helpers import (
     random_initial_state,
     random_profile,
     random_strategy,
+    six_prosumers,
 )
 
 BUNDLED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartgrid.json"
@@ -379,19 +380,7 @@ def test_six_prosumer_instance_builds_within_budget():
     # them one Python call at a time takes several times the budget
     budget = 1.0
     started = time.perf_counter()
-    prosumers = [
-        pg.ProsumerSpec(
-            storage_cap=2,
-            consumption_cap=1,
-            demand_cap=2,
-            tau=k % 2,
-            generation=pg.discretize_gaussian(0.5 + 0.25 * (k % 3), 1.0 + (k % 2)),
-            weighting=pg.WeightingFunction.prelec(0.8),
-            valuation=pg.ValuationFunction.piecewise_power(0.5, 1.0, 0.3),
-        )
-        for k in range(6)
-    ]
-    game = pg.build_prosumer_game(prosumers, discount_beta=0.001)
+    game = pg.build_prosumer_game(six_prosumers(), discount_beta=0.001)
     elapsed = time.perf_counter() - started
     assert game.payoff_table.shape == (6,) + (3,) * 6 + (2,) * 6
     assert elapsed < budget

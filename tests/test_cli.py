@@ -391,6 +391,19 @@ def test_solve_oversized_grid_exits_2(tmp_path, capsys):
     assert "use sampled mode" in capsys.readouterr().err
 
 
+def test_solve_keeps_the_levels_below_the_grid_cap(tmp_path, capsys):
+    # the third level (81 profiles at step 1/8) is above the cap of 30: the
+    # first two are searched and the best candidate is still written
+    cfg = write_config(tmp_path, pennies_config(refinement_cap=2, max_candidates=30))
+    out = tmp_path / "out"
+    assert run_cli("solve", "--config", cfg, "--out", out) == 1
+    assert (out / "certificate.txt").read_text().startswith("passed: false\n")
+    assert "status: not-found" in (out / "run.log").read_text()
+    err = capsys.readouterr().err
+    assert "within 2 grid level(s)" in err
+    assert "refinement stopped: profile grid at step 0.125 holds 81 candidates" in err
+
+
 def test_solve_cli_overrides(tmp_path):
     cfg = write_config(tmp_path, dominant_config())
     out = tmp_path / "out"

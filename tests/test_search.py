@@ -1,4 +1,5 @@
 """Lattice enumeration, certification, and the equilibrium search in both modes."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,10 @@ from helpers import (
     per_draw_profile_indices,
     random_game,
     random_kernel,
+    random_initial_state,
     random_profile,
     sampled_profile_indices,
+    six_prosumers,
 )
 
 BETA = 0.1
@@ -157,6 +160,45 @@ def test_grid_cap_is_checked_before_any_lattice_is_built(monkeypatch):
     config = pg.SearchConfig(epsilon=0.1, horizon=1, initial_delta=1e-6, max_candidates=10**6)
     with pytest.raises(pg.GridTooLargeError):
         pg.search_equilibrium(game, (0, 0), config)
+
+
+def test_oversized_first_level_is_refused_before_any_certification(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a candidate was certified")
+
+    monkeypatch.setattr(search, "_evaluate", refuse)
+    config = pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, max_candidates=8)
+    with pytest.raises(pg.GridTooLargeError, match=r"at step 0\.5 holds 9 candidates"):
+        pg.search_equilibrium(pennies_game(), (0, 0), config)
+
+
+def test_grid_refinement_stops_before_a_level_above_the_cap(monkeypatch):
+    # steps 1/2, 1/4 and 1/8 hold 9, 25 and 81 profiles; with a cap of 30
+    # the third level is refused before any candidate is certified, so the
+    # search exhausts two levels and keeps its best certificate
+    built = []
+    lattice = search.simplex_grid
+    monkeypatch.setattr(search, "simplex_grid", lambda a, d: built.append(d) or lattice(a, d))
+    config = pg.SearchConfig(
+        epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2, max_candidates=30
+    )
+    stopped = r"refinement stopped: profile grid at step 0\.125 holds 81 candidates"
+    with pytest.raises(pg.EquilibriumNotFoundError, match=stopped) as info:
+        pg.search_equilibrium(pennies_game(), (0, 0), config)
+    assert info.value.levels == 2
+    best = info.value.best_certificate
+    assert (best.candidates_examined, best.final_delta) == (34, 0.25)
+    assert built == [0.5, 0.25]
+
+
+def test_one_action_grid_never_outgrows_the_cap():
+    # every level is the same single profile, however many refinements
+    players = tuple(pg.PlayerSpec(1, 1, pg.TransitionKernel.stationary([[[1.0]]])) for _ in range(2))
+    game = pg.validate_game(
+        pg.GameSpec(players=players, discount_beta=0.5, payoff=np.ones((2, 1, 1, 1, 1)))
+    )
+    config = pg.SearchConfig(epsilon=0.1, horizon=1, refinement_cap=5000, max_candidates=1)
+    assert pg.search_equilibrium(game, (0, 0), config).candidates_examined == 1
 
 
 def test_sampled_indices_cover_small_grids_exactly_once():
@@ -393,6 +435,21 @@ def test_search_config_validation():
         )
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_one_epsilon_rule(epsilon):
+    game = dominant_game(2)
+    profile = pg.ProfileGrid(game, 1, 0.5).profile_at((0, 0))
+    rule = "epsilon: must be positive and finite"
+    with pytest.raises(ValueError, match=rule):
+        pg.SearchConfig(epsilon=epsilon)
+    with pytest.raises(ValueError, match=rule):
+        pg.certify(game, profile, (0, 0), 1, epsilon)
+    with pytest.raises(ValueError, match=rule):
+        pg.truncation_horizon(epsilon, game)
+    with pytest.raises(ValueError, match=rule):
+        pg.lipschitz_delta(epsilon, game)
+
+
 def test_search_rejects_initial_state_outside_the_chain():
     # the batched kernel indexes by the start state, where -1 would wrap
     with pytest.raises(ValueError, match="initial state -1 of player 1"):
@@ -518,6 +575,14 @@ def test_grid_blocks_follow_enumeration_order():
         assert [tuple(r) for block in blocks for r in block.tolist()] == list(index_tuples(grid))
 
 
+def outcome(game, x, config):
+    """The search's certificate: the passing one, or the best on exhaustion."""
+    try:
+        return pg.search_equilibrium(game, x, config)
+    except pg.EquilibriumNotFoundError as exc:
+        return exc.best_certificate
+
+
 BLOCK_CASES = [
     # unique pass at the last of 81 candidates
     (dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2)),
@@ -546,10 +611,7 @@ def test_search_results_do_not_depend_on_block_size(monkeypatch, case):
     for rows in (1, 7, None):  # None keeps the default block size
         if rows is not None:
             monkeypatch.setattr(search, "_BLOCK_ELEMENTS", rows * widest)
-        try:
-            results.append(pg.search_equilibrium(game, x, config))
-        except pg.EquilibriumNotFoundError as exc:
-            results.append(exc.best_certificate)
+        results.append(outcome(game, x, config))
         monkeypatch.undo()
     first = results[0]
     for cert in results[1:]:
@@ -568,14 +630,101 @@ def test_search_certificate_equals_certify_of_its_profile(case):
     # reproduce the certificate
     game, config = BLOCK_CASES[case]
     x = (0,) * game.n
-    try:
-        cert = pg.search_equilibrium(game, x, config)
-    except pg.EquilibriumNotFoundError as exc:
-        cert = exc.best_certificate
+    cert = outcome(game, x, config)
     again = pg.certify(game, cert.profile, x, cert.horizon, cert.epsilon)
     assert again.passed == cert.passed
     for field in ("values", "best_values", "gaps"):
         assert np.array_equal(getattr(again, field), getattr(cert, field))
+
+
+def evaluate_every_player(monkeypatch):
+    """Make the search ignore its cutoff, so every player of every row is
+    evaluated."""
+    evaluate = search._evaluate
+    monkeypatch.setattr(
+        search, "_evaluate", lambda game, dists, x, horizon, cutoff: evaluate(game, dists, x, horizon)
+    )
+
+
+def assert_bit_equal(lazy, full):
+    assert (lazy.passed, lazy.candidates_examined, lazy.final_delta) == (
+        full.passed, full.candidates_examined, full.final_delta
+    )
+    for field in ("values", "best_values", "gaps"):
+        assert getattr(lazy, field).tobytes() == getattr(full, field).tobytes()
+    for a, b in zip(lazy.profile, full.profile, strict=True):
+        assert a.dist.tobytes() == b.dist.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])  # None keeps the default block size
+@pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
+def test_lazy_pass_matches_full_pass(monkeypatch, case, rows):
+    game, config = BLOCK_CASES[case]
+    x = (0,) * game.n
+    if rows is not None:
+        widest = max(game.opponent_pair_count(i) for i in range(game.n))
+        monkeypatch.setattr(search, "_BLOCK_ELEMENTS", rows * widest)
+    lazy = outcome(game, x, config)
+    evaluate_every_player(monkeypatch)
+    assert_bit_equal(lazy, outcome(game, x, config))
+
+
+def test_lazy_pass_matches_full_pass_on_random_games(monkeypatch):
+    # three rows per block, so the cutoff set by one block prunes many later
+    # ones; the pass must not change a single bit of any outcome
+    evaluate = search._evaluate
+    pruned = 0
+
+    def counting(game, dists, x, horizon, cutoff):
+        nonlocal pruned
+        values, best_values = evaluate(game, dists, x, horizon, cutoff)
+        pruned += int(np.isnan(values).any(axis=1).sum())
+        return values, best_values
+
+    verdicts = set()
+    for seed in range(80):
+        rng = np.random.default_rng([seed, 80])
+        game = random_game(rng, n=int(rng.integers(2, 4)), max_states=2, max_actions=2)
+        x = random_initial_state(rng, game)
+        mode = ("grid", "sampled")[seed % 2]
+        config = pg.SearchConfig(
+            epsilon=float(rng.choice([1e-4, 1e-2, 0.1])), horizon=1 if mode == "grid" else 2,
+            mode=mode, seed=seed, max_candidates=1000 if mode == "grid" else 150,
+            refinement_cap=1,
+        )
+        widest = max(game.opponent_pair_count(i) for i in range(game.n))
+        monkeypatch.setattr(search, "_BLOCK_ELEMENTS", 3 * widest)
+        monkeypatch.setattr(search, "_evaluate", counting)
+        lazy = outcome(game, x, config)
+        monkeypatch.setattr(search, "_evaluate", evaluate)
+        evaluate_every_player(monkeypatch)
+        assert_bit_equal(lazy, outcome(game, x, config))
+        monkeypatch.undo()
+        verdicts.add((mode, lazy.passed))
+    assert verdicts == {(m, v) for m in ("grid", "sampled") for v in (True, False)}
+    assert pruned > 1000
+
+
+def test_lazy_pass_prunes_most_player_rows_on_six_prosumers(monkeypatch):
+    # the prosumer-wide benchmark run: 400 sampled candidates, none of which
+    # passes; one player's gap rules most of them out of the best
+    game = pg.build_prosumer_game(six_prosumers(), discount_beta=0.001)
+    stage_terms = search._stage_terms
+    rows = 0
+
+    def counting(game, player, tables, horizon):
+        nonlocal rows
+        rows += len(tables[0])
+        return stage_terms(game, player, tables, horizon)
+
+    monkeypatch.setattr(search, "_stage_terms", counting)
+    config = pg.SearchConfig(
+        epsilon=1e-4, mode="sampled", max_candidates=400, horizon=4, seed=20250817, refinement_cap=0
+    )
+    with pytest.raises(pg.EquilibriumNotFoundError) as info:
+        pg.search_equilibrium(game, (0,) * 6, config)
+    assert info.value.best_certificate.candidates_examined == 400
+    assert rows <= 0.4 * 6 * 400
 
 
 def test_search_equilibrium_honours_the_mode():
