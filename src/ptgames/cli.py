@@ -313,6 +313,19 @@ def _smartgrid_from_config(cfg: dict) -> ValidatedGame:
         raise ConfigError("smartgrid: " + "; ".join(exc.violations)) from exc
 
 
+# the run section's keys, in the order their errors are reported, with each
+# key's type check; SearchConfig checks the ranges
+_RUN_SETTINGS = {
+    "epsilon": _as_number,
+    "initial_delta": _as_number,
+    "mode": lambda value, path: value,
+    "max_candidates": _as_int,
+    "seed": _as_int,
+    "horizon": lambda value, path: None if value is None else _as_int(value, path),
+    "refinement_cap": _as_int,
+}
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run config.
 
@@ -352,19 +365,13 @@ def load_config(path) -> RunConfig:
             raise ConfigError(
                 f"run.x[{k}]: state {v} outside 0..{p.state_count - 1}"
             )
-    horizon = run.get("horizon")
+    _require(run, "epsilon", "run")
+    # only the keys present are passed on: SearchConfig holds the defaults
+    settings = {
+        key: convert(run[key], f"run.{key}") for key, convert in _RUN_SETTINGS.items() if key in run
+    }
     try:
-        search = SearchConfig(
-            epsilon=_as_number(_require(run, "epsilon", "run"), "run.epsilon"),
-            initial_delta=_as_number(run.get("initial_delta", 0.5), "run.initial_delta"),
-            mode=run.get("mode", "grid"),
-            max_candidates=_as_int(run.get("max_candidates", 100_000), "run.max_candidates"),
-            seed=_as_int(run.get("seed", 0), "run.seed"),
-            horizon=None if horizon is None else _as_int(horizon, "run.horizon"),
-            refinement_cap=_as_int(run.get("refinement_cap", 6), "run.refinement_cap"),
-        )
-    except ConfigError:
-        raise
+        search = SearchConfig(**settings)
     except ValueError as exc:
         raise ConfigError(f"run.{exc}") from exc
     return RunConfig(game=game, initial_state=x, search=search, source=doc)
@@ -504,8 +511,8 @@ def _write_run_log(outdir: Path, mode, cert, status, wall_time) -> None:
     lines = [
         f"mode: {mode}",
         f"status: {'passed' if status == 0 else 'not-found'}",
-        f"candidates_examined: {cert.candidates_examined if cert else 0}",
-        f"final_delta: {_fmt(cert.final_delta) if cert and cert.final_delta is not None else 'n/a'}",
+        f"candidates_examined: {cert.candidates_examined}",
+        f"final_delta: {_fmt(cert.final_delta)}",
         f"wall_time_s: {wall_time:.3f}",
     ]
     (outdir / "run.log").write_text("\n".join(lines) + "\n")
@@ -545,13 +552,12 @@ def _cmd_solve(args) -> int:
         print(f"solve: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - started
-    if cert is not None:
-        _write_solve_artifacts(outdir, cert, search.mode)
-        print(
-            f"solve: {'passed' if status == 0 else 'best candidate only'}; "
-            f"worst gap {np.max(cert.gaps):.6g} (allowance {search.epsilon / 3.0:.6g}); "
-            f"artifacts in {outdir}"
-        )
+    _write_solve_artifacts(outdir, cert, search.mode)
+    print(
+        f"solve: {'passed' if status == 0 else 'best candidate only'}; "
+        f"worst gap {np.max(cert.gaps):.6g} (allowance {search.epsilon / 3.0:.6g}); "
+        f"artifacts in {outdir}"
+    )
     _write_run_log(outdir, search.mode, cert, status, wall)
     return status
 

@@ -163,17 +163,24 @@ def truncation_horizon(epsilon: float, game: ValidatedGame) -> TruncationParams:
     horizon; if that is all of them, any horizon works and 1 is returned.
     """
     _check_epsilon(epsilon)
+    horizon = _horizon(game, math.log(epsilon))
+    return TruncationParams(epsilon=epsilon, horizon=horizon, value_bounds=np.array(game.value_bounds))
+
+
+def _horizon(game: ValidatedGame, log_epsilon: float) -> int:
+    """Smallest stage count (floored at 1) whose tail bound is at most
+    exp(``log_epsilon``)/3 for every player.  The tail bound is inverted in
+    log space, so an epsilon whose allowance underflows a float still gets
+    its horizon."""
     beta = game.discount_beta
     sizes = game.joint_state_count * game.joint_action_count
+    log_allowance = math.log((1.0 - beta) / 3.0) + log_epsilon
     worst = 1
     for bound in game.value_bounds:
-        if bound <= 0.0:
-            continue
-        ratio = math.log((1.0 - beta) * epsilon / (3.0 * bound * sizes)) / math.log(beta)
-        worst = max(worst, math.ceil(ratio))
-    return TruncationParams(
-        epsilon=epsilon, horizon=worst, value_bounds=np.array(game.value_bounds)
-    )
+        if bound > 0.0:
+            ratio = (log_allowance - math.log(bound) - math.log(sizes)) / math.log(beta)
+            worst = max(worst, math.ceil(ratio))
+    return worst
 
 
 def truncation_error_bound(game: ValidatedGame, horizon: int) -> np.ndarray:
@@ -215,7 +222,7 @@ def lipschitz_delta(epsilon: float, game: ValidatedGame, lipschitz_bound: float 
             )
     if lipschitz_bound is None:
         lipschitz_bound = max(1.0, *constants)
-    horizon = truncation_horizon(epsilon / 2.0, game).horizon
+    horizon = _horizon(game, math.log(epsilon) - math.log(2.0))
     worst = float(np.max(game.value_bounds))
     if worst <= 0.0:
         return 1.0, horizon

@@ -8,8 +8,9 @@ profiles whose per-(stage, state) action distributions have coordinates on a
 uniform simplex lattice.  ``search_equilibrium`` either scans the grid
 exhaustively in a fixed order (grid mode) or draws candidates uniformly
 without replacement from it (sampled mode, the only option when the grid is
-too large or no Lipschitz step is available), and halves the lattice step
-and retries when a level is exhausted, up to a refinement cap.
+too large or no Lipschitz step is available), and doubles the lattice's
+integer resolution (halving its step) when a level is exhausted, up to a
+refinement cap.
 
 There is one certification pass, ``_evaluate``: stage marginals, then per
 player stage terms and backward induction, for a block of profiles at once.
@@ -69,13 +70,10 @@ class EquilibriumNotFoundError(RuntimeError):
     def __init__(self, best_certificate, levels: int, stop: str | None = None):
         self.best_certificate = best_certificate
         self.levels = levels
-        gap = float(np.max(best_certificate.gaps)) if best_certificate else math.inf
-        allowance = (
-            best_certificate.epsilon / 3.0 if best_certificate else math.nan
-        )
+        gap = float(np.max(best_certificate.gaps))
         super().__init__(
             f"no profile passed certification within {levels} grid level(s); "
-            f"best worst-case gap {gap:.6g} against allowance {allowance:.6g}"
+            f"best worst-case gap {gap:.6g} against allowance {best_certificate.epsilon / 3.0:.6g}"
             + ("" if stop is None else f"; refinement stopped: {stop}")
         )
 
@@ -157,8 +155,7 @@ def simplex_grid(action_count: int, delta: float) -> np.ndarray:
         raise ValueError(f"need at least one action, got {action_count}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"grid step must lie in (0,1], got {delta}")
-    resolution = _resolution(delta)
-    return np.array(list(_compositions(resolution, action_count)), dtype=float) / resolution
+    return _lattice(action_count, _resolution(delta))
 
 
 def _resolution(delta: float) -> int:
@@ -166,23 +163,9 @@ def _resolution(delta: float) -> int:
     return max(1, math.ceil(1.0 / delta - 1e-9))
 
 
-def _cell_sizes(game: ValidatedGame, horizon: int, resolution: int, cap: int | None = None) -> list:
-    """Lattice rows per (player, stage, state) cell at ``resolution``; raises
-    :class:`GridTooLargeError` when the grid holds more than ``cap``
-    profiles."""
-    # a lattice over A actions has C(resolution + A - 1, A - 1) rows
-    sizes = [
-        math.comb(resolution + p.action_count - 1, p.action_count - 1)
-        for p in game.players
-        for _ in range(horizon * p.state_count)
-    ]
-    total = math.prod(sizes)
-    if cap is not None and total > cap:
-        raise GridTooLargeError(
-            f"profile grid at step {1.0 / resolution:g} holds {total} candidates, "
-            f"above the cap {cap}; use sampled mode"
-        )
-    return sizes
+def _lattice(action_count: int, resolution: int) -> np.ndarray:
+    """The simplex lattice rows with coordinates in multiples of 1/``resolution``."""
+    return np.array(list(_compositions(resolution, action_count)), dtype=float) / resolution
 
 
 def _compositions(total: int, parts: int):
@@ -198,30 +181,43 @@ def _compositions(total: int, parts: int):
 
 class ProfileGrid:
     """Deterministic enumeration of all Markov profiles whose per-(stage,
-    state) action distributions lie on the simplex lattice with one step.
+    state) action distributions lie on the simplex lattice of one integer
+    ``resolution`` (step 1/``resolution``).
 
     Cells are ordered (player, stage, state); a profile is an assignment of
     one lattice distribution per cell, and enumeration is lexicographic over
     the per-cell indices with the last cell varying fastest.  That makes "the
-    first passing profile" well defined and bit-reproducible, and halving the
-    step always produces a superset of the previous lattice.  A grid of more
-    than ``cap`` profiles raises :class:`GridTooLargeError` before any
-    lattice is built.
+    first passing profile" well defined and bit-reproducible, and doubling
+    the resolution always produces a superset of the previous lattice.  A
+    grid of more than ``cap`` profiles raises :class:`GridTooLargeError`
+    before any lattice is built.
     """
 
-    def __init__(self, game: ValidatedGame, horizon: int, delta: float, cap: int | None = None):
+    def __init__(self, game: ValidatedGame, horizon: int, resolution: int, cap: int | None = None):
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if resolution < 1:
+            raise ValueError(f"resolution must be >= 1, got {resolution}")
         self.game = game
         self.horizon = horizon
-        self.resolution = _resolution(delta)
-        self.delta = 1.0 / self.resolution
-        self.cell_sizes = _cell_sizes(game, horizon, self.resolution, cap)
+        self.resolution = resolution
+        self.delta = 1.0 / resolution
+        # a lattice over A actions has C(resolution + A - 1, A - 1) rows
+        self.cell_sizes = [
+            math.comb(resolution + p.action_count - 1, p.action_count - 1)
+            for p in game.players
+            for _ in range(horizon * p.state_count)
+        ]
         self.total_profiles = math.prod(self.cell_sizes)
+        if cap is not None and self.total_profiles > cap:
+            raise GridTooLargeError(
+                f"profile grid at step {self.delta:g} holds {self.total_profiles} "
+                f"candidates, above the cap {cap}; use sampled mode"
+            )
         self._options = {}
         for p in game.players:
             if p.action_count not in self._options:
-                options = simplex_grid(p.action_count, self.delta)
+                options = _lattice(p.action_count, resolution)
                 # the batched pass reads these rows without building a
                 # MarkovStrategy, so they get the strategy rule here, once
                 problem = _distribution_problem(options)
@@ -296,33 +292,6 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
         produced += len(fresh)
         if fresh:
             yield draws[fresh]
-
-
-def _steps(delta: float, levels: int):
-    """The grid steps of ``levels`` refinement levels from ``delta``: each
-    level halves the previous level's effective step."""
-    for _ in range(levels):
-        yield delta
-        delta = 1.0 / (2 * _resolution(delta))
-
-
-def _levels_within_cap(game: ValidatedGame, horizon: int, config: SearchConfig) -> tuple:
-    """Grid mode's level count: the levels before the first one whose grid
-    holds more than ``max_candidates`` profiles, with that level's refusal
-    (None when all fit).  Sizes are checked before any candidate is
-    certified, so a first level above the cap raises
-    :class:`GridTooLargeError` at once and no later one wastes the work of
-    the levels before it."""
-    for level, delta in enumerate(_steps(config.initial_delta, config.refinement_cap + 1)):
-        try:
-            sizes = _cell_sizes(game, horizon, _resolution(delta), config.max_candidates)
-        except GridTooLargeError as exc:
-            if level == 0:
-                raise
-            return level, str(exc)
-        if math.prod(sizes) == 1:
-            break  # one action per player: every level is this one profile
-    return config.refinement_cap + 1, None
 
 
 def _initial_state(game: ValidatedGame, initial_state) -> tuple:
@@ -432,24 +401,32 @@ def search_equilibrium(
     up to ``max_candidates`` distinct profiles uniformly from a generator
     seeded with ``seed``, so it is deterministic too.  Candidates are certified in
     blocks by ``_evaluate``, and the first passing row's certificate is built
-    from its own values.  An exhausted level halves the step, up to
-    ``refinement_cap`` times (in grid mode, never into a level above the
-    cap); then :class:`EquilibriumNotFoundError` carries the certificate of
-    the first candidate with the smallest worst gap.
+    from its own values.  ``initial_delta`` is rounded to a resolution once;
+    an exhausted level doubles it, up to ``refinement_cap`` times (in grid
+    mode, stopping before a level above the cap); then
+    :class:`EquilibriumNotFoundError` carries the certificate of the first
+    candidate with the smallest worst gap.
     """
     x = _initial_state(game, initial_state)
     horizon = config.resolve_horizon(game)
     widest = max(game.opponent_pair_count(i) for i in range(game.n))
     rows = max(1, _BLOCK_ELEMENTS // widest)
     grid_mode = config.mode == "grid"
-    levels, stop = config.refinement_cap + 1, None
-    if grid_mode:
-        levels, stop = _levels_within_cap(game, horizon, config)
+    cap = config.max_candidates if grid_mode else None
+    resolution = _resolution(config.initial_delta)
     rng = np.random.default_rng(config.seed)
-    examined = 0
+    examined = levels = 0
+    stop = None
     best = None  # (worst gap, grid, index row, values, best-response values)
-    for delta in _steps(config.initial_delta, levels):
-        grid = ProfileGrid(game, horizon, delta)
+    for level in range(config.refinement_cap + 1):
+        try:
+            grid = ProfileGrid(game, horizon, resolution << level, cap)
+        except GridTooLargeError as exc:
+            if level == 0:
+                raise
+            stop = str(exc)
+            break
+        levels = level + 1
         if grid_mode:
             blocks = _grid_blocks(grid, rows)
         else:
@@ -472,11 +449,9 @@ def search_equilibrium(
             if best is None or worst[r] < best[0]:
                 best = (worst[r], grid, block[r], values[r], best_values[r])
             examined += len(block)
-    cert = None
-    if best is not None:
-        _, where, indices, values, best_values = best
-        cert = _certificate(
-            where.profile_at(indices), values, best_values, config.epsilon, horizon,
-            candidates_examined=examined, final_delta=grid.delta,
-        )
+    _, where, indices, values, best_values = best
+    cert = _certificate(
+        where.profile_at(indices), values, best_values, config.epsilon, horizon,
+        candidates_examined=examined, final_delta=grid.delta,
+    )
     raise EquilibriumNotFoundError(cert, levels, stop)

@@ -1,6 +1,7 @@
 """Config loading, CSV round trips, and the command-line entry points."""
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -558,6 +559,19 @@ def test_bound_command_reports_unrepresentable_grid_step(tmp_path, capsys):
     assert "horizon: 1393" in captured.out
     assert "grid_step: unavailable (grid step is not representable" in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_smallest_positive_epsilon_runs_without_a_traceback(tmp_path, capsys):
+    # 5e-324 underflows the tail allowance (1 - beta) * epsilon / 3 to 0
+    assert run_cli("bound", "--config", BUNDLED_CONFIG, "--epsilon", "5e-324") == 0
+    assert re.search(r"^horizon: \d+$", capsys.readouterr().out, re.MULTILINE)
+    profile = tmp_path / "uniform.csv"
+    cli.write_probability_csv(profile, [(i, np.full((3, 3, 2), 0.5)) for i in range(3)])
+    status = run_cli(
+        "certify", "--config", BUNDLED_CONFIG, "--epsilon", "5e-324",
+        "--out", tmp_path / "out", "--profile", profile,
+    )
+    assert status in (0, 1, 2)
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

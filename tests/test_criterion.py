@@ -297,6 +297,15 @@ def test_cauchy_stage_increments_bounded():
             assert step <= game.value_bounds[i] * sizes * 0.7**m + 1e-12
 
 
+def test_smallest_positive_epsilon_gets_a_horizon():
+    # the allowance (1 - beta) * epsilon / 3 of 5e-324 underflows to 0; the
+    # tail bound 1 * 4 * 0.5**m / 0.5 is still inverted, in log space
+    game = unit_bound_game(0.5)
+    horizon = pg.truncation_horizon(5e-324, game).horizon
+    log_tail = lambda m: math.log(4.0) + m * math.log(0.5) - math.log(0.5)
+    assert log_tail(horizon) <= math.log(5e-324) - math.log(3.0) < log_tail(horizon - 1)
+
+
 # ---------- Lipschitz grid step ----------
 
 
@@ -318,6 +327,14 @@ def test_lipschitz_delta_scales_linearly_in_epsilon_at_fixed_horizon():
     d_hi, h_hi = pg.lipschitz_delta(0.61, game, 1.0)
     assert h_lo == h_hi
     assert d_hi / d_lo == pytest.approx(0.61 / 0.60, rel=1e-12)
+
+
+def test_lipschitz_delta_never_names_an_epsilon_it_was_not_passed():
+    # epsilon/2 of 5e-324 is 0.0 as a float; the halved allowance goes
+    # through the log-space horizon, and only the step itself is refused
+    with pytest.raises(ValueError, match="not representable") as info:
+        pg.lipschitz_delta(5e-324, unit_bound_game(0.5), 1.0)
+    assert "0.0" not in str(info.value)
 
 
 def test_lipschitz_delta_accepts_power_complement_with_matching_bound():

@@ -118,7 +118,7 @@ def test_halved_step_is_superset():
 
 def test_profile_grid_layout():
     game = dominant_game(2)
-    grid = pg.ProfileGrid(game, 2, 0.5)
+    grid = pg.ProfileGrid(game, 2, 2)
     assert grid.resolution == 2
     assert grid.delta == 0.5
     # cells ordered (player, stage, state): two players x two stages
@@ -133,7 +133,7 @@ def test_profile_grid_layout():
 
 def test_profile_grid_enumeration_order():
     game = dominant_game(1)
-    grid = pg.ProfileGrid(game, 1, 0.5)
+    grid = pg.ProfileGrid(game, 1, 2)
     tuples = list(index_tuples(grid))
     assert tuples == [(0,), (1,), (2,)]
     dists = [grid.profile_at(t)[0].dist[0, 0].tolist() for t in tuples]
@@ -143,20 +143,20 @@ def test_profile_grid_enumeration_order():
 def test_grid_profiles_cap():
     game = dominant_game(2)
     with pytest.raises(pg.GridTooLargeError, match="use sampled mode"):
-        pg.ProfileGrid(game, 2, 0.5, cap=80)
-    grid = pg.ProfileGrid(game, 2, 0.5, cap=81)
+        pg.ProfileGrid(game, 2, 2, cap=80)
+    grid = pg.ProfileGrid(game, 2, 2, cap=81)
     assert grid.total_profiles == 81
 
 
 def test_grid_cap_is_checked_before_any_lattice_is_built(monkeypatch):
-    # a step of 1e-6 would build lattices of 10**6 rows before refusing
+    # resolution 10**6 would build lattices of 10**6 rows before refusing
     def refuse(*args):
-        raise AssertionError("simplex_grid called for an oversized grid")
+        raise AssertionError("a lattice was built for an oversized grid")
 
-    monkeypatch.setattr(search, "simplex_grid", refuse)
+    monkeypatch.setattr(search, "_lattice", refuse)
     game = dominant_game(2)
     with pytest.raises(pg.GridTooLargeError, match="1000002000001 candidates"):
-        pg.ProfileGrid(game, 1, 1e-6, cap=10**6)
+        pg.ProfileGrid(game, 1, 10**6, cap=10**6)
     config = pg.SearchConfig(epsilon=0.1, horizon=1, initial_delta=1e-6, max_candidates=10**6)
     with pytest.raises(pg.GridTooLargeError):
         pg.search_equilibrium(game, (0, 0), config)
@@ -173,12 +173,12 @@ def test_oversized_first_level_is_refused_before_any_certification(monkeypatch):
 
 
 def test_grid_refinement_stops_before_a_level_above_the_cap(monkeypatch):
-    # steps 1/2, 1/4 and 1/8 hold 9, 25 and 81 profiles; with a cap of 30
-    # the third level is refused before any candidate is certified, so the
-    # search exhausts two levels and keeps its best certificate
+    # resolutions 2, 4 and 8 hold 9, 25 and 81 profiles; with a cap of 30
+    # the third level is refused before its lattice is built, so the search
+    # exhausts two levels and keeps its best certificate
     built = []
-    lattice = search.simplex_grid
-    monkeypatch.setattr(search, "simplex_grid", lambda a, d: built.append(d) or lattice(a, d))
+    lattice = search._lattice
+    monkeypatch.setattr(search, "_lattice", lambda a, r: built.append(r) or lattice(a, r))
     config = pg.SearchConfig(
         epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2, max_candidates=30
     )
@@ -188,7 +188,31 @@ def test_grid_refinement_stops_before_a_level_above_the_cap(monkeypatch):
     assert info.value.levels == 2
     best = info.value.best_certificate
     assert (best.candidates_examined, best.final_delta) == (34, 0.25)
-    assert built == [0.5, 0.25]
+    assert built == [2, 4]
+
+
+def test_refinement_doubles_the_resolution_exactly(monkeypatch):
+    # 1/12845056 rounds back to 12845056; a float step halved and rounded up
+    # again would refine it to 25690113, off the coarser lattice.  The
+    # stand-in lattice is one uniform row broadcast to the real row count,
+    # so no large table is built.
+    built = []
+
+    def uniform(action_count, resolution):
+        built.append(resolution)
+        rows = math.comb(resolution + action_count - 1, action_count - 1)
+        return np.broadcast_to(np.full(action_count, 1.0 / action_count), (rows, action_count))
+
+    monkeypatch.setattr(search, "_lattice", uniform)
+    monkeypatch.setattr(search, "_distribution_problem", lambda options: None)
+    config = pg.SearchConfig(
+        epsilon=0.01, horizon=1, mode="sampled", initial_delta=1 / 12_845_056,
+        max_candidates=2, refinement_cap=3,
+    )
+    with pytest.raises(pg.EquilibriumNotFoundError) as info:
+        pg.search_equilibrium(dominant_game(1), (0,), config)
+    assert built == [12_845_056 << level for level in range(4)]
+    assert info.value.best_certificate.final_delta == 1 / (12_845_056 << 3)
 
 
 def test_one_action_grid_never_outgrows_the_cap():
@@ -203,7 +227,7 @@ def test_one_action_grid_never_outgrows_the_cap():
 
 def test_sampled_indices_cover_small_grids_exactly_once():
     game = dominant_game(2)
-    grid = pg.ProfileGrid(game, 1, 0.5)  # 9 profiles
+    grid = pg.ProfileGrid(game, 1, 2)  # 9 profiles
     rng = np.random.default_rng(5)
     drawn = list(sampled_profile_indices(grid, rng, 100))
     assert len(drawn) == 9
@@ -212,7 +236,7 @@ def test_sampled_indices_cover_small_grids_exactly_once():
 
 def test_sampled_indices_without_replacement_under_limit():
     game = dominant_game(2)
-    grid = pg.ProfileGrid(game, 2, 0.5)  # 81 profiles
+    grid = pg.ProfileGrid(game, 2, 2)  # 81 profiles
     rng = np.random.default_rng(6)
     drawn = list(sampled_profile_indices(grid, rng, 40))
     assert len(drawn) == 40
@@ -223,7 +247,7 @@ def test_sampled_indices_without_replacement_under_limit():
 
 def test_sampled_indices_deterministic():
     game = dominant_game(2)
-    grid = pg.ProfileGrid(game, 2, 0.5)
+    grid = pg.ProfileGrid(game, 2, 2)
     a = list(sampled_profile_indices(grid, np.random.default_rng(7), 25))
     b = list(sampled_profile_indices(grid, np.random.default_rng(7), 25))
     assert a == b
@@ -234,7 +258,7 @@ def test_sampled_indices_deterministic():
 
 def test_certify_equilibrium_profile_has_zero_gap():
     game = dominant_game(2)
-    grid = pg.ProfileGrid(game, 2, 0.5)
+    grid = pg.ProfileGrid(game, 2, 2)
     profile = grid.profile_at((2, 2, 2, 2))  # everyone plays action 0
     cert = pg.certify(game, profile, (0, 0), 2, 0.01)
     assert cert.passed
@@ -244,7 +268,7 @@ def test_certify_equilibrium_profile_has_zero_gap():
 
 def test_certify_reports_exact_deviation_margin():
     game = dominant_game(2)
-    grid = pg.ProfileGrid(game, 2, 0.5)
+    grid = pg.ProfileGrid(game, 2, 2)
     profile = grid.profile_at((0, 0, 0, 0))  # everyone plays action 1
     margin = 1.0 + BETA  # switching to action 0 at both stages
     cert = pg.certify(game, profile, (0, 0), 2, 3.0 * (margin + 1e-3))
@@ -256,7 +280,7 @@ def test_certify_reports_exact_deviation_margin():
 
 def test_certify_argument_errors():
     game = dominant_game(2)
-    grid = pg.ProfileGrid(game, 1, 0.5)
+    grid = pg.ProfileGrid(game, 1, 2)
     profile = grid.profile_at((0, 0))
     with pytest.raises(ValueError):
         pg.certify(game, profile, (0, 0), 1, 0.0)
@@ -438,7 +462,7 @@ def test_search_config_validation():
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -0.1])
 def test_one_epsilon_rule(epsilon):
     game = dominant_game(2)
-    profile = pg.ProfileGrid(game, 1, 0.5).profile_at((0, 0))
+    profile = pg.ProfileGrid(game, 1, 2).profile_at((0, 0))
     rule = "epsilon: must be positive and finite"
     with pytest.raises(ValueError, match=rule):
         pg.SearchConfig(epsilon=epsilon)
@@ -491,7 +515,7 @@ def test_block_kernel_matches_scalar_certify(kind, stages, n):
     rng = np.random.default_rng([n, stages, sorted(WEIGHTINGS).index(kind)])
     game = mixed_size_game(rng, n, WEIGHTINGS[kind], stages)
     horizon = 3
-    grid = pg.ProfileGrid(game, horizon, 0.5)
+    grid = pg.ProfileGrid(game, horizon, 2)
     x = tuple(int(rng.integers(p.state_count)) for p in game.players)
     block = np.stack([rng.integers(0, c, size=40) for c in grid.cell_sizes], axis=1)
     block[-1] = block[0]  # identical inputs at two positions
@@ -555,7 +579,7 @@ def test_stage_terms_match_outer_product_oracle(kind, n):
 def test_block_sampler_keeps_the_per_draw_sequence(n, horizon, limit):
     # (2, 1, 100) shuffles the whole 9-profile grid; the others reject
     # against the visited set, (2, 2, 80) with many collisions
-    grid = pg.ProfileGrid(dominant_game(n), horizon, 0.5)
+    grid = pg.ProfileGrid(dominant_game(n), horizon, 2)
     for seed in range(4):
         reference_rng = np.random.default_rng(seed)
         expected = list(per_draw_profile_indices(grid, reference_rng, limit))
@@ -569,7 +593,7 @@ def test_block_sampler_keeps_the_per_draw_sequence(n, horizon, limit):
 
 
 def test_grid_blocks_follow_enumeration_order():
-    grid = pg.ProfileGrid(dominant_game(2), 2, 0.5)
+    grid = pg.ProfileGrid(dominant_game(2), 2, 2)
     for rows in (1, 7, 81, 500):
         blocks = list(search._grid_blocks(grid, rows))
         assert [tuple(r) for block in blocks for r in block.tolist()] == list(index_tuples(grid))
