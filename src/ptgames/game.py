@@ -153,10 +153,13 @@ class WeightingFunction:
         arr = np.asarray(y, dtype=float)
         scalar = arr.ndim == 0
         flat = np.atleast_1d(arr)
-        if np.any(flat < -_DOMAIN_SLACK) or np.any(flat > 1.0 + _DOMAIN_SLACK):
-            raise ValueError(
-                f"weighting argument outside [0, 1]: min={flat.min()}, max={flat.max()}"
-            )
+        # one min/max pair settles the common case; only a NaN (which makes
+        # both NaN) or an out-of-range entry takes the per-entry test
+        low, high = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
+        if not (-_DOMAIN_SLACK <= low and high <= 1.0 + _DOMAIN_SLACK) and (
+            np.any(flat < -_DOMAIN_SLACK) or np.any(flat > 1.0 + _DOMAIN_SLACK)
+        ):
+            raise ValueError(f"weighting argument outside [0, 1]: min={low}, max={high}")
         flat = np.clip(flat, 0.0, 1.0)
         if self.kind == "identity":
             out = flat

@@ -226,6 +226,22 @@ def _propagate(
     return probs
 
 
+def _reachable(game: ValidatedGame, player: int, initial_state: int, horizon: int) -> np.ndarray:
+    """Boolean (horizon, S) table: can the player's chain, started at
+    ``initial_state``, occupy state s at stage k under some strategy?
+
+    Read from the kernels' support alone: stage 1 holds only the start
+    state, and a state is reachable at the next stage when some action at a
+    reachable state moves there with positive probability.  Under every
+    strategy the other states carry exactly zero mass in ``_propagate``.
+    """
+    reach = np.zeros((horizon, game.players[player].state_count), dtype=bool)
+    reach[0, initial_state] = True
+    for k in range(horizon - 1):
+        reach[k + 1] = np.any(game.kernel(player, k)[reach[k]] > 0.0, axis=(0, 1))
+    return reach
+
+
 def check_flow_constraints(
     game: ValidatedGame,
     table: MarginalTable,

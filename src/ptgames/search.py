@@ -10,7 +10,9 @@ exhaustively in a fixed order (grid mode) or draws candidates uniformly
 without replacement from it (sampled mode, the only option when the grid is
 too large or no Lipschitz step is available), and doubles the lattice's
 integer resolution (halving its step) when a level is exhausted, up to a
-refinement cap.
+refinement cap.  Grid mode certifies only the profiles that are 0 in every
+dead cell, a (player, stage, state) that the player's chain cannot reach:
+the others repeat an earlier profile's certificate.  It still counts them.
 
 There is one certification pass, ``_evaluate``: stage marginals, then per
 player stage terms and backward induction, for a block of profiles at once.
@@ -31,7 +33,7 @@ import numpy as np
 from .best_response import _backward
 from .criterion import _check_epsilon, _stage_terms, truncation_horizon
 from .game import ValidatedGame
-from .marginals import MarkovStrategy, _check_strategy, _distribution_problem, _propagate
+from .marginals import MarkovStrategy, _check_strategy, _distribution_problem, _propagate, _reachable
 
 __all__ = [
     "GridTooLargeError",
@@ -211,7 +213,7 @@ class ProfileGrid:
         self.total_profiles = math.prod(self.cell_sizes)
         if cap is not None and self.total_profiles > cap:
             raise GridTooLargeError(
-                f"profile grid at step {self.delta:g} holds {self.total_profiles} "
+                f"profile grid at step {self.delta:g} holds {_count_text(self.total_profiles)} "
                 f"candidates, above the cap {cap}; use sampled mode"
             )
         self._options = {}
@@ -243,16 +245,51 @@ class ProfileGrid:
         return tuple(MarkovStrategy(player=i, dist=d[0]) for i, d in enumerate(dists))
 
 
+def _count_text(count: int) -> str:
+    """``count`` in full up to 10**15, else in scientific notation rounded
+    from its exact digits (a float overflows past 1e308)."""
+    if count <= 10**15:
+        return str(count)
+    from decimal import Decimal  # imported on this error path only
+
+    return f"{Decimal(count):.6e}"
+
+
 def _unravel(flat: np.ndarray, grid: ProfileGrid) -> np.ndarray:
     """Per-cell index rows of the profiles at enumeration positions ``flat``."""
     return np.stack(np.unravel_index(flat, grid.cell_sizes), axis=1)
 
 
-def _grid_blocks(grid: ProfileGrid, rows: int):
-    """Every profile of ``grid`` in enumeration order, ``rows`` at a time."""
-    for start in range(0, grid.total_profiles, rows):
-        stop = min(start + rows, grid.total_profiles)
-        yield _unravel(np.arange(start, stop), grid)
+def _live_cells(game: ValidatedGame, x: tuple, horizon: int) -> np.ndarray:
+    """Boolean mask over a grid's cells, ordered (player, stage, state): may
+    player j's chain, started at ``x[j]``, occupy that state at that stage?
+    A dead cell never carries mass, so its distribution changes nothing."""
+    return np.concatenate([_reachable(game, j, x[j], horizon).ravel() for j in range(game.n)])
+
+
+def _grid_blocks(grid: ProfileGrid, live: np.ndarray, rows: int):
+    """The profiles of ``grid`` whose dead cells (``~live``) have index 0, in
+    enumeration order, ``rows`` at a time.
+
+    Each skipped profile certifies exactly like the one with its dead cells
+    set to 0, which comes earlier, so the first passing profile and the
+    first with the smallest worst gap are among those yielded.
+    """
+    sizes = [size for size, keep in zip(grid.cell_sizes, live) if keep]
+    total = math.prod(sizes)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        block = np.zeros((stop - start, len(live)), dtype=np.intp)
+        block[:, live] = np.stack(np.unravel_index(np.arange(start, stop), sizes), axis=1)
+        yield block
+
+
+def _position(indices: np.ndarray, grid: ProfileGrid) -> int:
+    """Enumeration position of a per-cell index row, as a Python int."""
+    position = 0
+    for index, size in zip(indices.tolist(), grid.cell_sizes):
+        position = position * size + index
+    return position
 
 
 def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, rows: int):
@@ -285,7 +322,9 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
         draws = rng.integers(0, highs, size=(m, len(highs)))
         attempts += m
         fresh = []
-        for r, candidate in enumerate(map(tuple, draws.tolist())):
+        # one bytes key per row hashes faster than a tuple of Python ints
+        keys = draws.view(np.dtype((np.void, draws.shape[1] * draws.itemsize))).ravel()
+        for r, candidate in enumerate(keys.tolist()):
             if candidate not in visited:
                 visited.add(candidate)
                 fresh.append(r)
@@ -396,12 +435,14 @@ def search_equilibrium(
     """Return the first lattice profile that passes certification.
 
     ``config.mode`` picks each level's candidates: ``"grid"`` scans every
-    profile in enumeration order and raises :class:`GridTooLargeError` when
-    the first level holds more than ``max_candidates``; ``"sampled"`` draws
-    up to ``max_candidates`` distinct profiles uniformly from a generator
-    seeded with ``seed``, so it is deterministic too.  Candidates are certified in
-    blocks by ``_evaluate``, and the first passing row's certificate is built
-    from its own values.  ``initial_delta`` is rounded to a resolution once;
+    profile in enumeration order (certifying those with index 0 in every
+    dead cell, and counting the full grid) and raises
+    :class:`GridTooLargeError` when the first level holds more than
+    ``max_candidates``; ``"sampled"`` draws up to ``max_candidates``
+    distinct profiles uniformly from a generator seeded with ``seed``, so
+    it is deterministic too.  Candidates are certified in blocks by
+    ``_evaluate``, and the first passing row's certificate is built from its
+    own values.  ``initial_delta`` is rounded to a resolution once;
     an exhausted level doubles it, up to ``refinement_cap`` times (in grid
     mode, stopping before a level above the cap); then
     :class:`EquilibriumNotFoundError` carries the certificate of the first
@@ -415,6 +456,7 @@ def search_equilibrium(
     cap = config.max_candidates if grid_mode else None
     resolution = _resolution(config.initial_delta)
     rng = np.random.default_rng(config.seed)
+    live = _live_cells(game, x, horizon) if grid_mode else None
     examined = levels = 0
     stop = None
     best = None  # (worst gap, grid, index row, values, best-response values)
@@ -428,7 +470,7 @@ def search_equilibrium(
             break
         levels = level + 1
         if grid_mode:
-            blocks = _grid_blocks(grid, rows)
+            blocks = _grid_blocks(grid, live, rows)
         else:
             blocks = _sampled_blocks(grid, rng, config.max_candidates, rows)
         for block in blocks:
@@ -441,14 +483,20 @@ def search_equilibrium(
             passing = np.flatnonzero(_passes(worst, config.epsilon))
             if len(passing):
                 r = int(passing[0])
+                # grid mode counts every profile up to the winner, skipped
+                # ones included
+                before = _position(block[r], grid) if grid_mode else r
                 return _certificate(
                     grid.profile_at(block[r]), values[r], best_values[r], config.epsilon,
-                    horizon, candidates_examined=examined + r + 1, final_delta=grid.delta,
+                    horizon, candidates_examined=examined + before + 1, final_delta=grid.delta,
                 )
             r = int(np.argmin(worst))
             if best is None or worst[r] < best[0]:
                 best = (worst[r], grid, block[r], values[r], best_values[r])
-            examined += len(block)
+            if not grid_mode:
+                examined += len(block)
+        if grid_mode:
+            examined += grid.total_profiles
     _, where, indices, values, best_values = best
     cert = _certificate(
         where.profile_at(indices), values, best_values, config.epsilon, horizon,

@@ -1,7 +1,8 @@
 """Shared test utilities: random instance factories and slow independent
 oracles (joint-chain enumeration, brute-force policy search, per-stage
-opponent weights, per-entry prosumer payoffs, per-draw sampling) used to
-cross-check the vectorized code, and index-tuple views of profile grids."""
+opponent weights, per-entry prosumer payoffs, per-draw sampling, full-grid
+enumeration) used to cross-check the vectorized code, and index-tuple views
+of profile grids."""
 from __future__ import annotations
 
 import itertools
@@ -14,6 +15,16 @@ from ptgames import search
 
 def random_kernel(rng, state_count, action_count, stages=1):
     raw = rng.random((stages, state_count, action_count, state_count)) + 0.05
+    return pg.TransitionKernel(probs=raw / raw.sum(axis=3, keepdims=True))
+
+
+def sparse_kernel(rng, state_count, action_count, stages=1):
+    """Like ``random_kernel``, but each entry is zero with probability 1/2
+    (one random entry per row is kept), so some states may be unreachable."""
+    raw = rng.random((stages, state_count, action_count, state_count)) + 0.05
+    raw *= rng.random(raw.shape) < 0.5
+    keep = rng.integers(state_count, size=raw.shape[:3])
+    np.put_along_axis(raw, keep[..., None], 1.0, axis=3)
     return pg.TransitionKernel(probs=raw / raw.sum(axis=3, keepdims=True))
 
 
@@ -50,12 +61,15 @@ def random_game(
     beta=None,
     identity_pt=False,
     stages=1,
+    kernel=random_kernel,
+    integer_payoffs=False,
 ):
     """Random validated game with dense Gaussian payoffs.
 
     ``identity_pt`` forces identity weighting and valuation for every player
     (the classical-expectation special case); ``stages`` > 1 makes the
-    kernels nonstationary.
+    kernels nonstationary; ``kernel`` is the kernel factory;
+    ``integer_payoffs`` draws payoffs from {-1, 0, 1}, so values tie often.
     """
     if n is None:
         n = int(rng.integers(1, 4))
@@ -67,7 +81,7 @@ def random_game(
             pg.PlayerSpec(
                 state_count=S,
                 action_count=A,
-                kernel=random_kernel(rng, S, A, stages=stages),
+                kernel=kernel(rng, S, A, stages=stages),
                 weighting=pg.WeightingFunction.identity()
                 if identity_pt
                 else random_weighting(rng),
@@ -78,7 +92,11 @@ def random_game(
         )
     state_counts = tuple(p.state_count for p in players)
     action_counts = tuple(p.action_count for p in players)
-    payoff = rng.normal(0.0, 1.0, size=(n, *state_counts, *action_counts))
+    shape = (n, *state_counts, *action_counts)
+    if integer_payoffs:
+        payoff = rng.integers(-1, 2, size=shape).astype(float)
+    else:
+        payoff = rng.normal(0.0, 1.0, size=shape)
     if beta is None:
         beta = float(rng.uniform(0.2, 0.9))
     return pg.validate_game(
@@ -168,6 +186,15 @@ def index_tuples(grid):
     """All per-cell index assignments of a ``ProfileGrid`` in enumeration
     order."""
     return itertools.product(*(range(size) for size in grid.cell_sizes))
+
+
+def full_grid_blocks(grid, live, rows):
+    """Every profile of ``grid`` in enumeration order, ``rows`` at a time,
+    dead cells (``~live``) included: the grid source before dead cells were
+    skipped, with the same signature as ``search._grid_blocks``."""
+    for start in range(0, grid.total_profiles, rows):
+        stop = min(start + rows, grid.total_profiles)
+        yield search._unravel(np.arange(start, stop), grid)
 
 
 def sampled_profile_indices(grid, rng, limit):

@@ -392,6 +392,16 @@ def test_solve_oversized_grid_exits_2(tmp_path, capsys):
     assert "use sampled mode" in capsys.readouterr().err
 
 
+def test_solve_names_an_astronomical_grid_in_scientific_notation(tmp_path, capsys):
+    # epsilon 5e-324 gives a horizon of hundreds of stages: the grid has 469
+    # digits, too many for a float
+    args = ("solve", "--config", BUNDLED_CONFIG, "--epsilon", "5e-324", "--mode", "grid")
+    assert run_cli(*args, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "holds 1.137499e+468 candidates, above the cap 100000" in err
+    assert len(err) < 200
+
+
 def test_solve_keeps_the_levels_below_the_grid_cap(tmp_path, capsys):
     # the third level (81 profiles at step 1/8) is above the cap of 30: the
     # first two are searched and the best candidate is still written

@@ -1,14 +1,18 @@
 """Lattice enumeration, certification, and the equilibrium search in both modes."""
+import collections
 import math
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ptgames as pg
-from ptgames import criterion, search
+from ptgames import cli, criterion, search
 from helpers import (
     enumerate_dm_policies,
+    full_grid_blocks,
     index_tuples,
     opponent_weight_vector,
     per_draw_profile_indices,
@@ -18,7 +22,10 @@ from helpers import (
     random_profile,
     sampled_profile_indices,
     six_prosumers,
+    sparse_kernel,
 )
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 BETA = 0.1
 
@@ -146,6 +153,16 @@ def test_grid_profiles_cap():
         pg.ProfileGrid(game, 2, 2, cap=80)
     grid = pg.ProfileGrid(game, 2, 2, cap=81)
     assert grid.total_profiles == 81
+
+
+def test_grid_counts_above_1e15_are_shown_in_scientific_notation():
+    assert search._count_text(10**15) == "1000000000000000"
+    assert search._count_text(10**15 + 1) == "1.000000e+15"
+    # rounded from the exact digits, past where a float overflows
+    assert search._count_text(3**1000) == "1.322071e+477"
+    assert search._count_text(10**400 - 1) == "1.000000e+400"
+    with pytest.raises(pg.GridTooLargeError, match=r"holds 1\.215767e\+19 candidates"):
+        pg.ProfileGrid(dominant_game(2), 20, 2, cap=10**6)  # 3**40 profiles
 
 
 def test_grid_cap_is_checked_before_any_lattice_is_built(monkeypatch):
@@ -593,10 +610,132 @@ def test_block_sampler_keeps_the_per_draw_sequence(n, horizon, limit):
 
 
 def test_grid_blocks_follow_enumeration_order():
-    grid = pg.ProfileGrid(dominant_game(2), 2, 2)
-    for rows in (1, 7, 81, 500):
-        blocks = list(search._grid_blocks(grid, rows))
-        assert [tuple(r) for block in blocks for r in block.tolist()] == list(index_tuples(grid))
+    # horizon 2 from state 0: each player's stage-1 state-1 cell (cells 1
+    # and 5) is dead, so the live rows are the enumeration's rows with index
+    # 0 there, 729 of 6,561, in the same order
+    game = unreachable_state_pennies()
+    grid = pg.ProfileGrid(game, 2, 2)
+    live = search._live_cells(game, (0, 0), 2)
+    assert live.tolist() == [True, False, True, True] * 2
+    expected = [t for t in index_tuples(grid) if t[1] == t[5] == 0]
+    assert len(expected) == 729
+    for rows in (1, 7, 729, 5000):
+        blocks = list(search._grid_blocks(grid, live, rows))
+        assert all(1 <= len(block) <= rows for block in blocks)
+        assert [tuple(r) for block in blocks for r in block.tolist()] == expected
+    # the oracle yields the whole grid; positions count it in Python ints
+    full = [tuple(r) for b in full_grid_blocks(grid, live, 100) for r in b.tolist()]
+    assert full == list(index_tuples(grid))
+    assert [search._position(np.array(t), grid) for t in full] == list(range(6561))
+    huge = pg.ProfileGrid(dominant_game(2), 20, 2)  # 3**40 profiles
+    assert search._position(np.full(40, 2), huge) == 3**40 - 1 > np.iinfo(np.int64).max
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_live_cells_are_where_the_uniform_strategy_puts_mass(seed):
+    # a second route to reachability: every action has positive probability
+    # under the uniform strategy, so its marginals put mass on exactly the
+    # cells that some strategy reaches
+    rng = np.random.default_rng([seed, 9])
+    stages = int(rng.integers(1, 4))
+    game = random_game(rng, max_states=4, stages=stages, kernel=sparse_kernel)
+    horizon = int(rng.integers(1, 5))
+    x = random_initial_state(rng, game)
+    live = search._live_cells(game, x, horizon)
+    expected = []
+    for i, p in enumerate(game.players):
+        dist = np.full((horizon, p.state_count, p.action_count), 1.0 / p.action_count)
+        table = pg.forward_marginals(game, pg.MarkovStrategy(player=i, dist=dist), x[i], horizon)
+        expected.extend((table.probs.sum(axis=2) > 0.0).ravel().tolist())
+    assert live.tolist() == expected
+
+
+def grid_outcome(game, x, config):
+    """Everything a grid search reports: status, certificate bytes, count,
+    step, levels and message (the refusal's message when refused)."""
+    try:
+        cert = pg.search_equilibrium(game, x, config)
+        status, levels, message = "passed", None, None
+    except pg.EquilibriumNotFoundError as exc:
+        cert, status, levels, message = exc.best_certificate, "exhausted", exc.levels, str(exc)
+    except pg.GridTooLargeError as exc:
+        return ("refused", str(exc))
+    return (
+        status, levels, message, cert.passed, cert.candidates_examined, cert.final_delta,
+        cert.values.tobytes(), cert.best_values.tobytes(), cert.gaps.tobytes(),
+        tuple(s.dist.tobytes() for s in cert.profile),
+    )
+
+
+def noisy_pennies(rng, stages):
+    """Two players, 1-3 states, 2 actions, sparse kernels: matching pennies
+    on the actions plus 0.3 N(0,1) noise, which has no pure equilibrium."""
+    players = []
+    for _ in range(2):
+        S = int(rng.integers(1, 4))
+        players.append(pg.PlayerSpec(S, 2, sparse_kernel(rng, S, 2, stages=stages)))
+    S0, S1 = players[0].state_count, players[1].state_count
+    match = np.equal.outer(np.arange(2), np.arange(2))
+    core = np.stack([2.0 * match, 2.0 * ~match])[:, None, None]
+    payoff = core + 0.3 * rng.standard_normal((2, S0, S1, 2, 2))
+    return pg.validate_game(pg.GameSpec(players=tuple(players), discount_beta=0.5, payoff=payoff))
+
+
+def test_live_grid_search_matches_the_full_grid(monkeypatch):
+    # skipping dead cells must not change a single bit of any grid outcome:
+    # sparse and nonstationary kernels, refinements, integer payoffs (ties),
+    # passes, exhaustions and refusals
+    seen = collections.Counter()
+    skipped = 0
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 300])
+        stages = int(rng.integers(1, 3))
+        n = (2, 2, 3, 1)[seed % 4]
+        if seed % 3 == 2:
+            game = noisy_pennies(rng, stages)
+        else:
+            game = random_game(
+                rng, n=n, max_states=3 if n < 3 else 2, stages=stages,
+                kernel=sparse_kernel, integer_payoffs=seed % 3 == 0,
+            )
+        x = random_initial_state(rng, game)
+        config = pg.SearchConfig(
+            epsilon=float(rng.choice([1e-4, 1e-3, 1e-2])),
+            horizon=int(rng.integers(1, 4 - game.n // 2)),
+            max_candidates=int(rng.integers(50, 4000)), refinement_cap=int(rng.integers(0, 3)),
+            initial_delta=float(rng.choice([0.9, 0.5])),
+        )
+        skipped += not search._live_cells(game, x, config.horizon).all()
+        fast = grid_outcome(game, x, config)
+        monkeypatch.setattr(search, "_grid_blocks", full_grid_blocks)
+        assert grid_outcome(game, x, config) == fast, seed
+        monkeypatch.undo()
+        seen[fast[0]] += 1
+    assert min(seen[status] for status in ("passed", "exhausted", "refused")) >= 30, seen
+    assert skipped >= 150
+
+
+def test_grid_exhaust_workload_certifies_only_live_rows(monkeypatch, tmp_path):
+    # the benchmark's grid-exhaust config: each player's stage-1 cell at
+    # state 1 is dead (1 of 4 cells), so 3**6 = 729 of the 3**8 = 6,561
+    # profiles are evaluated, and the count still covers all of them
+    workloads = runpy.run_path(str(BENCHMARKS / "workloads.py"))
+    path = tmp_path / "grid-exhaust.json"
+    path.write_text(workloads["WORKLOADS"]["grid-exhaust"].config_text(workloads["DEFAULT_SEED"]))
+    cfg = cli.load_config(path)
+    evaluate = search._evaluate
+    rows = 0
+
+    def counting(game, dists, x, horizon, cutoff=math.inf):
+        nonlocal rows
+        rows += len(dists[0])
+        return evaluate(game, dists, x, horizon, cutoff)
+
+    monkeypatch.setattr(search, "_evaluate", counting)
+    with pytest.raises(pg.EquilibriumNotFoundError) as info:
+        pg.search_equilibrium(cfg.game, cfg.initial_state, cfg.search)
+    assert info.value.best_certificate.candidates_examined == 6561
+    assert rows <= 729
 
 
 def outcome(game, x, config):
