@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import _check_marginal_tables, _stage_terms
+from .criterion import _stage_terms
 from .game import ValidatedGame
-from .marginals import DeterministicMarkovPolicy
+from .marginals import DeterministicMarkovPolicy, _check_tables
 
 __all__ = [
     "StageRewardTable",
@@ -36,10 +36,23 @@ class StageRewardTable:
 
     player: int
     rewards: np.ndarray
+    noun = "reward table"
+
+    def __post_init__(self):
+        if np.ndim(self.rewards) != 3:
+            raise ValueError(f"reward table needs shape (horizon, S, A), got {np.shape(self.rewards)}")
 
     @property
     def horizon(self) -> int:
         return self.rewards.shape[0]
+
+    @property
+    def state_count(self) -> int:
+        return self.rewards.shape[1]
+
+    @property
+    def action_count(self) -> int:
+        return self.rewards.shape[2]
 
 
 @dataclass(frozen=True)
@@ -62,9 +75,7 @@ def induced_stage_rewards(
     ``marginals`` is indexed by player; the entry at ``player`` is ignored
     (it may be None), everything else must cover the horizon.
     """
-    if not 0 <= player < game.n:
-        raise ValueError(f"player index {player} outside 0..{game.n - 1}")
-    _check_marginal_tables(game, marginals, horizon, skip=player)
+    _check_tables(game, marginals, horizon, player=player)
     tables = [
         None if j == player else table.probs[np.newaxis] for j, table in enumerate(marginals)
     ]
@@ -89,27 +100,12 @@ def backward_induction(
     backwards; ties pick the lowest action index, making the result unique
     and reproducible.
     """
-    if rewards.player != player:
-        raise ValueError(
-            f"reward table belongs to player {rewards.player}, expected {player}"
-        )
     m = rewards.horizon if horizon is None else horizon
-    if m < 1:
-        raise ValueError(f"horizon must be >= 1, got {m}")
-    if rewards.horizon < m:
-        raise ValueError(
-            f"reward table covers {rewards.horizon} stages, horizon {m} requested"
-        )
-    spec = game.players[player]
-    S, A = spec.state_count, spec.action_count
-    if rewards.rewards.shape[1:] != (S, A):
-        raise ValueError(
-            f"reward table has sizes {rewards.rewards.shape[1:]}, game declares ({S}, {A})"
-        )
-    if not 0 <= initial_state < S:
-        raise ValueError(f"initial state {initial_state} outside 0..{S - 1}")
+    _check_tables(game, rewards, m, initial_state, player)
     values, choice = _backward(game, player, rewards.rewards[np.newaxis, :m])
-    policy = DeterministicMarkovPolicy(player=player, choice=choice[0], action_count=A)
+    policy = DeterministicMarkovPolicy(
+        player=player, choice=choice[0], action_count=rewards.action_count
+    )
     return BestResponseResult(
         policy=policy,
         value=float(values[0, 0, initial_state]),

@@ -42,7 +42,7 @@ from .game import (
     WeightingFunction,
     validate_game,
 )
-from .marginals import MarkovStrategy, forward_marginals
+from .marginals import MarkovStrategy, _check_tables, forward_marginals
 from .search import (
     EquilibriumNotFoundError,
     GridTooLargeError,
@@ -396,8 +396,9 @@ def write_probability_csv(path, tables) -> None:
 
 def read_probability_csv(path):
     """Read rows written by :func:`write_probability_csv` back into a dict
-    player -> array (horizon, S, A).  Every (stage, state, action) cell up to
-    the observed maxima must be present exactly once."""
+    player -> array (horizon, S, A).  Stages count from 1 and indices from
+    0; every (stage, state, action) cell up to the observed maxima must be
+    present exactly once."""
     cells = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -412,6 +413,10 @@ def read_probability_csv(path):
                 prob = float(row[4])
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {row_no}: {exc}") from exc
+            if stage < 1 or min(player, state, action) < 0:
+                raise ConfigError(
+                    f"{path}: line {row_no}: stage must be >= 1 and player, state, action >= 0"
+                )
             key = (player, stage - 1, state, action)
             if key in cells:
                 raise ConfigError(f"{path}: line {row_no}: duplicate cell {key}")
@@ -438,25 +443,19 @@ def read_probability_csv(path):
     return tables
 
 
-def _profile_from_csv(path, game: ValidatedGame):
-    tables = read_probability_csv(path)
-    if sorted(tables) != list(range(game.n)):
-        raise ConfigError(
-            f"{path}: expected strategies for players 0..{game.n - 1}, got "
-            f"{sorted(tables)}"
-        )
+def _profile_from_csv(path, game: ValidatedGame, horizon: int | None = None):
+    """The strategies of a strategy CSV, one per player of ``game``, each
+    covering ``horizon`` stages when it is given."""
     profile = []
-    for i, p in enumerate(game.players):
-        sizes = tables[i].shape[1:]
-        if sizes != (p.state_count, p.action_count):
-            raise ConfigError(
-                f"{path}: player {i}: strategy has sizes {sizes}, game declares "
-                f"({p.state_count}, {p.action_count})"
-            )
+    for i, dist in sorted(read_probability_csv(path).items()):
         try:
-            profile.append(MarkovStrategy(player=i, dist=tables[i]))
+            profile.append(MarkovStrategy(player=i, dist=dist))
         except ValueError as exc:
             raise ConfigError(f"{path}: player {i}: {exc}") from exc
+    try:
+        _check_tables(game, profile, horizon)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return tuple(profile)
 
 
@@ -529,7 +528,7 @@ def _outdir(args) -> Path:
 
 def _search_settings(cfg: RunConfig, args) -> SearchConfig:
     """The run section's search settings with the command-line overrides."""
-    flags = {k: getattr(args, k) for k in ("epsilon", "mode", "seed")}
+    flags = {k: getattr(args, k, None) for k in ("epsilon", "mode", "seed")}
     try:
         return replace(cfg.search, **{k: v for k, v in flags.items() if v is not None})
     except ValueError as exc:
@@ -566,14 +565,8 @@ def _cmd_certify(args) -> int:
     cfg = load_config(args.config)
     search = _search_settings(cfg, args)
     outdir = _outdir(args)
-    profile = _profile_from_csv(args.profile, cfg.game)
     horizon = search.resolve_horizon(cfg.game)
-    for strategy in profile:
-        if strategy.horizon < horizon:
-            raise ConfigError(
-                f"{args.profile}: player {strategy.player} covers "
-                f"{strategy.horizon} stages, horizon {horizon} required"
-            )
+    profile = _profile_from_csv(args.profile, cfg.game, horizon)
     cert = certify(cfg.game, profile, cfg.initial_state, horizon, search.epsilon)
     write_certificate(outdir / "certificate.txt", cert, mode="certify")
     print(
@@ -684,41 +677,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "discounted stochastic games with distorted preferences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="JSON run config")
-        p.add_argument("--out", default="out", help="artifact directory (default: out)")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        p.add_argument(
-            "--epsilon", type=float, default=None, help="override run.epsilon"
-        )
-        p.add_argument(
-            "--mode", choices=("grid", "sampled"), default=None, help="override run.mode"
-        )
-
-    solve = sub.add_parser("solve", help="search for a certified profile")
-    common(solve)
-    solve.set_defaults(handler=_cmd_solve)
-
-    cert = sub.add_parser("certify", help="re-certify a profile from strategy CSV")
-    common(cert)
-    cert.add_argument("--profile", required=True, help="strategy CSV to certify")
-    cert.set_defaults(handler=_cmd_certify)
-
-    marg = sub.add_parser("marginals", help="stage marginals of a supplied strategy")
-    common(marg)
-    marg.add_argument("--strategy", required=True, help="strategy CSV to propagate")
-    marg.set_defaults(handler=_cmd_marginals)
-
-    build = sub.add_parser(
-        "build-smartgrid", help="export a prosumer config as a generic game"
-    )
-    common(build)
-    build.set_defaults(handler=_cmd_build_smartgrid)
-
-    bound = sub.add_parser("bound", help="print horizon and error bounds")
-    common(bound)
-    bound.set_defaults(handler=_cmd_bound)
+    flags = {
+        "--config": dict(required=True, help="JSON run config"),
+        "--profile": dict(required=True, help="strategy CSV to certify"),
+        "--strategy": dict(required=True, help="strategy CSV to propagate"),
+        "--out": dict(default="out", help="artifact directory (default: out)"),
+        "--epsilon": dict(type=float, help="override run.epsilon"),
+        "--mode": dict(choices=("grid", "sampled"), help="override run.mode"),
+        "--seed": dict(type=int, help="override run.seed"),
+    }
+    # each subcommand takes only the flags it reads
+    for name, handler, names, help_text in (
+        ("solve", _cmd_solve, ("--out", "--epsilon", "--mode", "--seed"),
+         "search for a certified profile"),
+        ("certify", _cmd_certify, ("--profile", "--out", "--epsilon"),
+         "re-certify a profile from strategy CSV"),
+        ("marginals", _cmd_marginals, ("--strategy", "--out"),
+         "stage marginals of a supplied strategy"),
+        ("build-smartgrid", _cmd_build_smartgrid, ("--out",),
+         "export a prosumer config as a generic game"),
+        ("bound", _cmd_bound, ("--epsilon",), "print horizon and error bounds"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        for flag in ("--config",) + names:
+            command.add_argument(flag, **flags[flag])
     return parser
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import ValidatedGame
+from .marginals import _check_tables
 
 __all__ = [
     "PTPayoffReport",
@@ -62,36 +63,6 @@ class TruncationParams:
     epsilon: float
     horizon: int
     value_bounds: np.ndarray
-
-
-def _check_marginal_tables(game: ValidatedGame, marginals, horizon: int, skip: int = -1):
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if len(marginals) != game.n:
-        raise ValueError(
-            f"need one marginal table per player ({game.n}), got {len(marginals)}"
-        )
-    for j, table in enumerate(marginals):
-        if j == skip:
-            continue
-        if table is None:
-            raise ValueError(f"marginal table for player {j} is missing")
-        if table.player != j:
-            raise ValueError(
-                f"marginal table at position {j} belongs to player {table.player}"
-            )
-        spec = game.players[j]
-        if (table.state_count, table.action_count) != (spec.state_count, spec.action_count):
-            raise ValueError(
-                f"marginal table of player {j} has sizes "
-                f"({table.state_count}, {table.action_count}), game declares "
-                f"({spec.state_count}, {spec.action_count})"
-            )
-        if table.horizon < horizon:
-            raise ValueError(
-                f"marginal table of player {j} covers {table.horizon} stages, "
-                f"horizon {horizon} requested"
-            )
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -143,7 +114,7 @@ def pt_payoff(game: ValidatedGame, marginals, horizon: int) -> PTPayoffReport:
 
     for each player; the per-stage pieces are kept in the report.
     """
-    _check_marginal_tables(game, marginals, horizon)
+    _check_tables(game, marginals, horizon)
     tables = [table.probs[np.newaxis] for table in marginals]
     contributions = np.array(
         [_stage_terms(game, i, tables, horizon)[1][0] for i in range(game.n)]
@@ -186,8 +157,7 @@ def _horizon(game: ValidatedGame, log_epsilon: float) -> int:
 def truncation_error_bound(game: ValidatedGame, horizon: int) -> np.ndarray:
     """Per-player bound on |full value - value truncated after ``horizon``|:
     geometric tail of the worst valued payoff over the whole product space."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_tables(game, horizon=horizon)
     beta = game.discount_beta
     sizes = game.joint_state_count * game.joint_action_count
     return np.array(game.value_bounds) * sizes * beta**horizon / (1.0 - beta)

@@ -17,6 +17,7 @@ carry no mass).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,24 +40,80 @@ _DIST_TOL = 1e-12
 FLOW_TOL = 1e-9
 
 
-def _distribution_problem(dist: np.ndarray):
+def _distribution_problem(dist: np.ndarray, sums: bool = True):
     """Why the rows along the last axis of ``dist`` are not all probability
     distributions, as ``(reason, index of the row)``; None when they are.
 
-    A row must hold finite, nonnegative entries summing to 1 within 1e-12.
-    Non-finite entries are reported first (NaN passes every comparison),
-    then negative ones, then the row whose sum is furthest off.
+    A row must hold finite, nonnegative entries summing to 1 within 1e-12
+    (the sum is not checked when ``sums`` is false).  Non-finite entries are
+    reported first (NaN passes every comparison), then negative ones, then
+    the row whose sum is furthest off.
     """
     for bad, reason in ((~np.isfinite(dist), "non-finite"), (dist < 0.0, "negative")):
         rows = np.any(bad, axis=-1)
         if np.any(rows):
             row = np.unravel_index(np.argmax(rows), rows.shape)
             return f"{reason} probability {dist[row][bad[row]][0]:.12g}", row
+    if not sums:
+        return None
     error = np.abs(dist.sum(axis=-1) - 1.0)
     if np.any(error > _DIST_TOL):
         row = np.unravel_index(np.argmax(error), error.shape)
         return f"action distribution sums to {dist[row].sum():.12g}", row
     return None
+
+
+def _check_tables(game, tables=None, horizon=None, initial_state=None, player=None):
+    """Raise ValueError at the first rule on player-tagged (stage, state,
+    action) tables that the arguments break: the one home of these rules,
+    behind every entry point that takes such a table.  Each message starts
+    with what failed.
+
+    ``tables`` is one table (a strategy, a marginal table or a reward
+    table), or a sequence of one table per player, each at its own position.
+    ``player`` is the player the call is about: the one table must be
+    theirs, and their entry in a sequence is not read (it may be None).
+    ``initial_state`` is the one table's start state, or one per player; a
+    start state is an integer.  ``horizon`` must be at least 1, and every
+    table must cover it.  Only the horizon rule runs when ``game`` is None.
+    """
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon: must be >= 1, got {horizon}")
+    single = hasattr(tables, "player")
+    if single and player is None:
+        player = tables.player
+    if player is not None and not 0 <= player < game.n:
+        raise ValueError(f"player index {player} outside 0..{game.n - 1}")
+    if single:
+        entries = {player: tables}
+        starts = {} if initial_state is None else {player: initial_state}
+    else:
+        if tables is not None and len(tables) != game.n:
+            raise ValueError(f"profile: needs one table per player ({game.n}), got {len(tables)}")
+        if initial_state is not None and len(initial_state) != game.n:
+            raise ValueError(
+                f"initial state has {len(initial_state)} components, game has {game.n} players"
+            )
+        entries = dict(enumerate(tables or ()))
+        entries.pop(player, None)
+        starts = dict(enumerate(initial_state or ()))
+    for j, table in entries.items():
+        if table is None:
+            raise ValueError(f"player {j}: table is missing")
+        if table.player != j:
+            raise ValueError(f"player {j}: {table.noun} belongs to player {table.player}")
+        sizes = (table.state_count, table.action_count)
+        declared = (game.players[j].state_count, game.players[j].action_count)
+        if sizes != declared:
+            raise ValueError(f"player {j}: {table.noun} has sizes {sizes}, game declares {declared}")
+        if horizon is not None and table.horizon < horizon:
+            raise ValueError(
+                f"player {j}: {table.noun} covers {table.horizon} stages, horizon {horizon} requested"
+            )
+    for j, s in starts.items():
+        S = game.players[j].state_count
+        if not (isinstance(s, numbers.Integral) and 0 <= s < S):
+            raise ValueError(f"initial state {s} of player {j} outside 0..{S - 1}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +127,7 @@ class MarkovStrategy:
 
     player: int
     dist: np.ndarray
+    noun = "strategy"
 
     def __post_init__(self):
         arr = np.array(self.dist, dtype=float)
@@ -129,20 +187,23 @@ class MarginalTable:
     """Per-stage (state, action) occupancy probabilities of one player.
 
     ``probs`` has shape (horizon, states, actions).  Construction only checks
-    shape and nonnegativity so that perturbed tables can be fed to
-    :func:`check_flow_constraints`; realizability is exactly the absence of
-    flow violations.
+    the shape and that every entry is finite and nonnegative, so that
+    perturbed tables can be fed to :func:`check_flow_constraints`;
+    realizability is exactly the absence of flow violations.
     """
 
     player: int
     probs: np.ndarray
+    noun = "marginal table"
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=float)
         if arr.ndim != 3:
             raise ValueError(f"marginal table needs shape (horizon, S, A), got {arr.shape}")
-        if np.any(arr < -_DIST_TOL):
-            raise ValueError("marginal table contains negative probabilities")
+        problem = _distribution_problem(arr, sums=False)
+        if problem is not None:
+            reason, (t, s) = problem
+            raise ValueError(f"{reason} at (t={t + 1}, s={s})")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -168,17 +229,6 @@ class FlowViolation(NamedTuple):
     residual: float
 
 
-def _check_player_dims(game: ValidatedGame, player: int, state_count: int, action_count: int):
-    if not 0 <= player < game.n:
-        raise ValueError(f"player index {player} outside 0..{game.n - 1}")
-    spec = game.players[player]
-    if (state_count, action_count) != (spec.state_count, spec.action_count):
-        raise ValueError(
-            f"table of player {player} has sizes ({state_count}, {action_count}), "
-            f"game declares ({spec.state_count}, {spec.action_count})"
-        )
-
-
 def forward_marginals(
     game: ValidatedGame,
     strategy: MarkovStrategy,
@@ -189,23 +239,9 @@ def forward_marginals(
     player's own kernel, collecting the (state, action) occupancy of stages
     1..``horizon``.
     """
-    _check_strategy(game, strategy, initial_state, horizon)
+    _check_tables(game, strategy, horizon, initial_state)
     probs = _propagate(game, strategy.player, strategy.dist[np.newaxis], initial_state, horizon)
     return MarginalTable(player=strategy.player, probs=probs[0])
-
-
-def _check_strategy(game: ValidatedGame, strategy: MarkovStrategy, initial_state: int, horizon: int):
-    """Reject a strategy that does not fit its player's chain, start state
-    and ``horizon``: what :func:`_propagate` takes on trust."""
-    _check_player_dims(game, strategy.player, strategy.state_count, strategy.action_count)
-    if not 0 <= initial_state < strategy.state_count:
-        raise ValueError(f"initial state {initial_state} outside 0..{strategy.state_count - 1}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if strategy.horizon < horizon:
-        raise ValueError(
-            f"strategy covers {strategy.horizon} stages, horizon {horizon} requested"
-        )
 
 
 def _propagate(
@@ -254,11 +290,8 @@ def check_flow_constraints(
     The residuals are recomputed from the table's own entries and the kernel,
     independently of how the table was produced.
     """
-    i = table.player
-    _check_player_dims(game, i, table.state_count, table.action_count)
-    S = table.state_count
-    if not 0 <= initial_state < S:
-        raise ValueError(f"initial state {initial_state} outside 0..{S - 1}")
+    _check_tables(game, table, initial_state=initial_state)
+    i, S = table.player, table.state_count
     violations = []
     row_mass = table.probs.sum(axis=2)
     required = np.zeros(S)
@@ -276,8 +309,6 @@ def strategy_from_marginals(table: MarginalTable) -> MarkovStrategy:
     action probabilities where a state carries mass, uniform where it does
     not (the choice there never influences the chain)."""
     probs = table.probs
-    if np.any(probs < 0.0):
-        raise ValueError("marginal table contains negative probabilities")
     A = table.action_count
     row_mass = probs.sum(axis=2, keepdims=True)
     uniform = np.full_like(probs, 1.0 / A)

@@ -25,6 +25,7 @@ agree bit for bit.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ import numpy as np
 from .best_response import _backward
 from .criterion import _check_epsilon, _stage_terms, truncation_horizon
 from .game import ValidatedGame
-from .marginals import MarkovStrategy, _check_strategy, _distribution_problem, _propagate, _reachable
+from .marginals import MarkovStrategy, _check_tables, _distribution_problem, _propagate, _reachable
 
 __all__ = [
     "GridTooLargeError",
@@ -113,8 +114,7 @@ class SearchConfig:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if self.refinement_cap < 0:
             raise ValueError(f"refinement_cap: must be >= 0, got {self.refinement_cap}")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError(f"horizon: must be >= 1, got {self.horizon}")
+        _check_tables(None, horizon=self.horizon)
 
     def resolve_horizon(self, game: ValidatedGame) -> int:
         """The set ``horizon``, else the truncation horizon for ``epsilon``."""
@@ -166,19 +166,22 @@ def _resolution(delta: float) -> int:
 
 
 def _lattice(action_count: int, resolution: int) -> np.ndarray:
-    """The simplex lattice rows with coordinates in multiples of 1/``resolution``."""
-    return np.array(list(_compositions(resolution, action_count)), dtype=float) / resolution
+    """The simplex lattice rows with coordinates in multiples of 1/``resolution``,
+    lexicographically ascending.
 
-
-def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts`` nonnegative integers,
-    lexicographically ascending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    Stars and bars: the ``action_count`` - 1 bar positions among
+    ``resolution`` + ``action_count`` - 1 slots, in lexicographic order,
+    cut the stars into the weak compositions in lexicographic order.
+    """
+    slots = resolution + action_count - 1
+    rows = math.comb(slots, action_count - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), action_count - 1)),
+        dtype=np.intp,
+        count=rows * (action_count - 1),
+    ).reshape(rows, action_count - 1)
+    edges = np.hstack([np.full((rows, 1), -1), bars, np.full((rows, 1), slots)])
+    return (np.diff(edges, axis=1) - 1) / resolution
 
 
 class ProfileGrid:
@@ -196,8 +199,7 @@ class ProfileGrid:
     """
 
     def __init__(self, game: ValidatedGame, horizon: int, resolution: int, cap: int | None = None):
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        _check_tables(game, horizon=horizon)
         if resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {resolution}")
         self.game = game
@@ -333,20 +335,6 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
             yield draws[fresh]
 
 
-def _initial_state(game: ValidatedGame, initial_state) -> tuple:
-    x = tuple(int(v) for v in initial_state)
-    if len(x) != game.n:
-        raise ValueError(
-            f"initial state has {len(x)} components, game has {game.n} players"
-        )
-    for i, (s, p) in enumerate(zip(x, game.players)):
-        if not 0 <= s < p.state_count:
-            raise ValueError(
-                f"initial state {s} of player {i} outside 0..{p.state_count - 1}"
-            )
-    return x
-
-
 def _evaluate(game: ValidatedGame, dists, x: tuple, horizon: int, cutoff: float = math.inf):
     """Values and best-response values, each of shape (rows, players), of a
     block of profiles given as per-player strategy blocks ``dists``, each of
@@ -415,16 +403,9 @@ def certify(
     slack) by deviating.
     """
     _check_epsilon(epsilon)
-    x = _initial_state(game, initial_state)
+    x = tuple(initial_state)
     profile = tuple(profile)
-    if len(profile) != game.n:
-        raise ValueError(
-            f"profile has {len(profile)} strategies, game has {game.n} players"
-        )
-    for i, strategy in enumerate(profile):
-        if strategy.player != i:
-            raise ValueError(f"strategy at position {i} belongs to player {strategy.player}")
-        _check_strategy(game, strategy, x[i], horizon)
+    _check_tables(game, profile, horizon, x)
     values, best_values = _evaluate(game, [s.dist[np.newaxis] for s in profile], x, horizon)
     return _certificate(profile, values[0], best_values[0], epsilon, horizon)
 
@@ -448,7 +429,8 @@ def search_equilibrium(
     :class:`EquilibriumNotFoundError` carries the certificate of the first
     candidate with the smallest worst gap.
     """
-    x = _initial_state(game, initial_state)
+    x = tuple(initial_state)
+    _check_tables(game, initial_state=x)
     horizon = config.resolve_horizon(game)
     widest = max(game.opponent_pair_count(i) for i in range(game.n))
     rows = max(1, _BLOCK_ELEMENTS // widest)

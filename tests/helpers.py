@@ -1,7 +1,7 @@
 """Shared test utilities: random instance factories and slow independent
 oracles (joint-chain enumeration, brute-force policy search, per-stage
 opponent weights, per-entry prosumer payoffs, per-draw sampling, full-grid
-enumeration) used to cross-check the vectorized code, and index-tuple views
+enumeration, recursive lattice compositions) used to cross-check the vectorized code, and index-tuple views
 of profile grids."""
 from __future__ import annotations
 
@@ -180,6 +180,18 @@ def classical_joint_value(game, profile, initial_state, horizon, player):
         for (s, a), p in joint.items():
             total += beta**k * p * game.payoff(player, s, a)
     return total
+
+
+def compositions(total, parts):
+    """Weak compositions of ``total`` into ``parts`` nonnegative integers,
+    lexicographically ascending, by recursion on the first part: the
+    lattice construction before stars and bars."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
 
 
 def index_tuples(grid):

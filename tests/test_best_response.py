@@ -229,3 +229,5 @@ def test_reward_table_validation():
     wrong_player = pg.StageRewardTable(player=1, rewards=rewards.rewards)
     with pytest.raises(ValueError):
         pg.backward_induction(game, 0, wrong_player, 0, 2)
+    with pytest.raises(ValueError, match="needs shape"):
+        pg.StageRewardTable(player=0, rewards=rewards.rewards[0])

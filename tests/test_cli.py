@@ -446,7 +446,7 @@ def test_certify_reproduces_solve_gaps(tmp_path):
     assert certify_lines[0] == "passed: true"
 
 
-def test_certify_rejects_short_profile(tmp_path):
+def test_certify_rejects_short_profile(tmp_path, capsys):
     cfg = write_config(tmp_path, dominant_config())  # horizon 2 in config
     short = tmp_path / "short.csv"
     cli.write_probability_csv(
@@ -456,6 +456,8 @@ def test_certify_rejects_short_profile(tmp_path):
     assert run_cli(
         "certify", "--config", cfg, "--out", tmp_path / "out", "--profile", short
     ) == 2
+    err = capsys.readouterr().err
+    assert f"{short}: player 0: strategy covers 1 stages, horizon 2 requested" in err
 
 
 def test_certify_rejects_non_finite_probability(tmp_path, capsys):
@@ -497,6 +499,24 @@ def test_strategy_csv_with_wrong_sizes_is_a_config_error(tmp_path, capsys, comma
     assert run_cli(command, "--config", BUNDLED_CONFIG, "--out", tmp_path / "out", flag, cut) == 2
     err = capsys.readouterr().err
     assert f"{cut}: player 1: strategy has sizes (2, 2), game declares (3, 2)" in err
+
+
+@pytest.mark.parametrize("command, flag", [("certify", "--profile"), ("marginals", "--strategy")])
+@pytest.mark.parametrize(
+    "row", ["0,0,0,0,0.75", "1,1,-1,0,0.3", "-1,1,0,0,0.5", "0,1,0,-1,0.5"],
+    ids=["stage-0", "state-negative", "player-negative", "action-negative"],
+)
+def test_strategy_csv_rejects_out_of_range_indices(tmp_path, capsys, command, flag, row):
+    # such a row used to be dropped, so a solved profile still passed
+    cfg = write_config(tmp_path, dominant_config())
+    out = tmp_path / "out"
+    assert run_cli("solve", "--config", cfg, "--out", out) == 0
+    plot = out / "plot_data.csv"
+    lines = plot.read_text().splitlines()
+    plot.write_text("\n".join(lines + [row]) + "\n")
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "check", flag, plot) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {plot}: line {len(lines) + 1}: stage must be >= 1" in err
 
 
 def test_marginals_command(tmp_path):
@@ -582,6 +602,30 @@ def test_smallest_positive_epsilon_runs_without_a_traceback(tmp_path, capsys):
         "--out", tmp_path / "out", "--profile", profile,
     )
     assert status in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--profile", "p.csv", "--seed", "1"],
+        ["certify", "--profile", "p.csv", "--mode", "grid"],
+        ["marginals", "--strategy", "s.csv", "--seed", "1"],
+        ["marginals", "--strategy", "s.csv", "--epsilon", "0.1"],
+        ["marginals", "--strategy", "s.csv", "--mode", "grid"],
+        ["build-smartgrid", "--seed", "1"],
+        ["build-smartgrid", "--epsilon", "0.1"],
+        ["build-smartgrid", "--mode", "grid"],
+        ["bound", "--seed", "3"],
+        ["bound", "--mode", "grid"],
+        ["bound", "--out", "nowhere"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv, "--config", BUNDLED_CONFIG)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

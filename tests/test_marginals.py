@@ -10,6 +10,7 @@ from helpers import (
     joint_stage_distributions,
     random_game,
     random_initial_state,
+    random_kernel,
     random_profile,
     random_strategy,
 )
@@ -288,3 +289,177 @@ def test_joint_chain_factorization():
                     product = tables[0].probs[k, s[0], a[0]] * tables[1].probs[k, s[1], a[1]]
                     joint = stages[k].get((s, a), 0.0)
                     assert abs(product - joint) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (np.nan, "non-finite probability nan at (t=2, s=1)"),
+        (np.inf, "non-finite probability inf at (t=2, s=1)"),
+        (-np.inf, "non-finite probability -inf at (t=2, s=1)"),
+        (-0.5, "negative probability -0.5 at (t=2, s=1)"),
+    ],
+)
+def test_marginal_table_rejects_non_finite_and_negative_entries(entry, message):
+    probs = np.full((2, 2, 2), 0.25)
+    probs[1, 1, 0] = entry
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pg.MarginalTable(player=0, probs=probs)
+
+
+def test_marginal_table_reports_non_finite_before_negative():
+    probs = np.full((2, 2, 2), 0.25)
+    probs[0, 0, 0] = -0.5
+    probs[1, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=re.escape("non-finite probability nan at (t=2, s=1)")):
+        pg.MarginalTable(player=0, probs=probs)
+
+
+# ------------------------------------------------------------- table rules
+
+# player 0 has (S, A) = (2, 2), player 1 has (3, 2)
+SIZES = ((2, 2), (3, 2))
+H = 2
+
+
+def rules_game():
+    rng = np.random.default_rng(5)
+    players = tuple(
+        pg.PlayerSpec(state_count=S, action_count=A, kernel=random_kernel(rng, S, A))
+        for S, A in SIZES
+    )
+    payoff = rng.normal(size=(2, *(S for S, _ in SIZES), *(A for _, A in SIZES)))
+    return pg.validate_game(pg.GameSpec(players=players, discount_beta=0.5, payoff=payoff))
+
+
+GAME = rules_game()
+CONFIG = pg.SearchConfig(epsilon=0.1, horizon=H)
+
+
+def strategy(j, stages=H, sizes=None):
+    S, A = sizes or SIZES[j]
+    return pg.MarkovStrategy(player=j, dist=np.full((stages, S, A), 1.0 / A))
+
+
+def marginal(j, stages=H, sizes=None):
+    S, A = sizes or SIZES[j]
+    return pg.MarginalTable(player=j, probs=np.full((stages, S, A), 1.0 / (S * A)))
+
+
+def reward(j, stages=H, sizes=None):
+    return pg.StageRewardTable(player=j, rewards=np.zeros((stages, *(sizes or SIZES[j]))))
+
+
+def profile(*strategies):
+    return strategies or (strategy(0), strategy(1))
+
+
+def tables(*entries):
+    return list(entries) or [marginal(0), marginal(1)]
+
+
+# each violation of a table rule, the one message every entry point gives
+# for it, and every public entry point that accepts it
+TABLE_RULES = {
+    "player-negative": ("player index -1 outside 0..1", [
+        lambda: pg.forward_marginals(GAME, strategy(-1), 0, H),
+        lambda: pg.check_flow_constraints(GAME, marginal(-1), 0),
+        lambda: pg.induced_stage_rewards(GAME, -1, tables(), H),
+        lambda: pg.backward_induction(GAME, -1, reward(-1), 0),
+    ]),
+    "player-too-large": ("player index 2 outside 0..1", [
+        lambda: pg.forward_marginals(GAME, strategy(2, sizes=(3, 2)), 0, H),
+        lambda: pg.check_flow_constraints(GAME, marginal(2, sizes=(3, 2)), 0),
+        lambda: pg.induced_stage_rewards(GAME, 2, tables(), H),
+        lambda: pg.backward_induction(GAME, 2, reward(2, sizes=(3, 2)), 0),
+    ]),
+    "strategy-sizes": ("player 1: strategy has sizes (2, 2), game declares (3, 2)", [
+        lambda: pg.forward_marginals(GAME, strategy(1, sizes=(2, 2)), 0, H),
+        lambda: pg.certify(GAME, profile(strategy(0), strategy(1, sizes=(2, 2))), (0, 0), H, 0.1),
+    ]),
+    "marginal-sizes": ("player 1: marginal table has sizes (3, 3), game declares (3, 2)", [
+        lambda: pg.check_flow_constraints(GAME, marginal(1, sizes=(3, 3)), 0),
+        lambda: pg.pt_payoff(GAME, tables(marginal(0), marginal(1, sizes=(3, 3))), H),
+        lambda: pg.induced_stage_rewards(GAME, 0, [None, marginal(1, sizes=(3, 3))], H),
+    ]),
+    "reward-sizes": ("player 1: reward table has sizes (3, 3), game declares (3, 2)", [
+        lambda: pg.backward_induction(GAME, 1, reward(1, sizes=(3, 3)), 0),
+    ]),
+    "strategy-stages": ("player 1: strategy covers 1 stages, horizon 2 requested", [
+        lambda: pg.forward_marginals(GAME, strategy(1, 1), 0, H),
+        lambda: pg.certify(GAME, profile(strategy(0), strategy(1, 1)), (0, 0), H, 0.1),
+    ]),
+    "marginal-stages": ("player 1: marginal table covers 1 stages, horizon 2 requested", [
+        lambda: pg.pt_payoff(GAME, tables(marginal(0), marginal(1, 1)), H),
+        lambda: pg.induced_stage_rewards(GAME, 0, [None, marginal(1, 1)], H),
+    ]),
+    "reward-stages": ("player 1: reward table covers 1 stages, horizon 2 requested", [
+        lambda: pg.backward_induction(GAME, 1, reward(1, 1), 0, H),
+    ]),
+    "horizon": ("horizon: must be >= 1, got 0", [
+        lambda: pg.forward_marginals(GAME, strategy(0), 0, 0),
+        lambda: pg.certify(GAME, profile(), (0, 0), 0, 0.1),
+        lambda: pg.pt_payoff(GAME, tables(), 0),
+        lambda: pg.induced_stage_rewards(GAME, 0, tables(), 0),
+        lambda: pg.backward_induction(GAME, 0, reward(0), 0, 0),
+        lambda: pg.backward_induction(GAME, 0, reward(0, 0), 0),
+        lambda: pg.truncation_error_bound(GAME, 0),
+        lambda: pg.ProfileGrid(GAME, 0, 2),
+        lambda: pg.SearchConfig(epsilon=0.1, horizon=0),
+    ]),
+    "start-too-large": ("initial state 3 of player 1 outside 0..2", [
+        lambda: pg.forward_marginals(GAME, strategy(1), 3, H),
+        lambda: pg.check_flow_constraints(GAME, marginal(1), 3),
+        lambda: pg.backward_induction(GAME, 1, reward(1), 3),
+        lambda: pg.certify(GAME, profile(), (0, 3), H, 0.1),
+        lambda: pg.search_equilibrium(GAME, (0, 3), CONFIG),
+    ]),
+    "start-negative": ("initial state -1 of player 1 outside 0..2", [
+        lambda: pg.forward_marginals(GAME, strategy(1), -1, H),
+        lambda: pg.check_flow_constraints(GAME, marginal(1), -1),
+        lambda: pg.backward_induction(GAME, 1, reward(1), -1),
+        lambda: pg.certify(GAME, profile(), (0, -1), H, 0.1),
+        lambda: pg.search_equilibrium(GAME, (0, -1), CONFIG),
+    ]),
+    "start-fractional": ("initial state 1.5 of player 1 outside 0..2", [
+        lambda: pg.forward_marginals(GAME, strategy(1), 1.5, H),
+        lambda: pg.check_flow_constraints(GAME, marginal(1), 1.5),
+        lambda: pg.backward_induction(GAME, 1, reward(1), 1.5),
+        lambda: pg.certify(GAME, profile(), (0, 1.5), H, 0.1),
+        lambda: pg.search_equilibrium(GAME, (0, 1.5), CONFIG),
+    ]),
+    "start-count": ("initial state has 1 components, game has 2 players", [
+        lambda: pg.certify(GAME, profile(), (0,), H, 0.1),
+        lambda: pg.search_equilibrium(GAME, (0,), CONFIG),
+    ]),
+    "entry-count": ("profile: needs one table per player (2), got 1", [
+        lambda: pg.pt_payoff(GAME, [marginal(0)], H),
+        lambda: pg.induced_stage_rewards(GAME, 0, [None], H),
+        lambda: pg.certify(GAME, (strategy(0),), (0, 0), H, 0.1),
+    ]),
+    "entry-missing": ("player 1: table is missing", [
+        lambda: pg.pt_payoff(GAME, [marginal(0), None], H),
+        lambda: pg.induced_stage_rewards(GAME, 0, [None, None], H),
+        lambda: pg.certify(GAME, (strategy(0), None), (0, 0), H, 0.1),
+    ]),
+    "strategy-position": ("player 1: strategy belongs to player 0", [
+        lambda: pg.certify(GAME, profile(strategy(0), strategy(0)), (0, 0), H, 0.1),
+    ]),
+    "marginal-position": ("player 1: marginal table belongs to player 0", [
+        lambda: pg.pt_payoff(GAME, tables(marginal(0), marginal(0)), H),
+        lambda: pg.induced_stage_rewards(GAME, 0, [None, marginal(0)], H),
+    ]),
+    "reward-position": ("player 1: reward table belongs to player 0", [
+        lambda: pg.backward_induction(GAME, 1, reward(0), 0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("rule", list(TABLE_RULES))
+def test_each_table_rule_gives_one_message_at_every_entry_point(rule):
+    message, calls = TABLE_RULES[rule]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+

@@ -1,6 +1,9 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its CLI lines parse."""
 import re
+import shlex
 from pathlib import Path
+
+from ptgames import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +13,14 @@ def test_readme_library_example_runs():
     library = text[text.index("## Library"):]
     example = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_cli_lines_parse():
+    text = README.read_text()
+    section = text[text.index("## CLI"):text.index("## Config format")]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ptgames ")]
+    parser = cli._build_parser()
+    for argv in lines:
+        parser.parse_args(argv)  # an unknown or missing flag exits 2
+    assert {argv[0] for argv in lines} == {"solve", "certify", "marginals", "build-smartgrid", "bound"}

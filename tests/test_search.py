@@ -11,6 +11,7 @@ import pytest
 import ptgames as pg
 from ptgames import cli, criterion, search
 from helpers import (
+    compositions,
     enumerate_dm_policies,
     full_grid_blocks,
     index_tuples,
@@ -103,6 +104,15 @@ def test_simplex_grid_rows_are_distributions():
         rows = pg.simplex_grid(count, 1 / 3)
         assert np.all(rows >= 0.0)
         assert np.allclose(rows.sum(axis=1), 1.0, atol=0)
+
+
+def test_lattice_matches_recursive_compositions():
+    for count in range(1, 6):
+        for res in range(1, 30):
+            expected = np.array(list(compositions(res, count)), dtype=float) / res
+            rows = search._lattice(count, res)
+            assert rows.dtype == expected.dtype
+            assert np.array_equal(rows, expected), (count, res)
 
 
 def test_simplex_grid_rejects_bad_arguments():
