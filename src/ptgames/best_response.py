@@ -121,14 +121,31 @@ def _backward(game: ValidatedGame, player: int, q: np.ndarray):
     From the last stage backwards, an action's reward-to-go is its reward
     plus the expected optimal value of the next stage; the optimal action is
     the lowest-index maximizer.
+
+    The action axis is short (2 actions in the prosumer games), and a numpy
+    reduction over a short last axis pays its per-output cost for every
+    (row, stage, state), so both results fold over the actions in index
+    order instead: ``np.maximum`` gives the bits of ``max``, and the strict
+    ``>`` keeps the lowest-index tie, as ``argmax`` does.  The actions are
+    picked in one fold over every stage after the recursion, which keeps
+    blocks of one or two rows as cheap as the reductions.
     """
-    rows, m, S, _ = q.shape
+    rows, m, S, A = q.shape
+    to_go = q.copy()
     values = np.empty((rows, m, S))
-    choice = np.empty((rows, m, S), dtype=int)
     for k in range(m - 1, -1, -1):
-        to_go = q[:, k]
+        stage = to_go[:, k]
         if k < m - 1:
-            to_go = to_go + np.einsum("sap,bp->bsa", game.kernel(player, k), best)
-        choice[:, k] = to_go.argmax(axis=2)
-        best = values[:, k] = to_go.max(axis=2)
+            stage += np.einsum("sap,bp->bsa", game.kernel(player, k), best)
+        best = stage[..., 0]
+        for a in range(1, A):
+            best = np.maximum(best, stage[..., a])
+        values[:, k] = best
+    choice = np.zeros((rows, m, S), dtype=int)
+    best = to_go[..., 0]
+    for a in range(1, A):
+        column = to_go[..., a]
+        choice[column > best] = a
+        if a < A - 1:  # the last action's maximum would never be read
+            best = np.maximum(best, column)
     return values, choice

@@ -521,6 +521,8 @@ def _write_run_log(outdir: Path, mode, cert, status, wall_time) -> None:
 
 
 def _outdir(args) -> Path:
+    """The artifact directory, made on the first write: every check that can
+    exit 2 runs before it, so a rejected run leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -538,7 +540,6 @@ def _search_settings(cfg: RunConfig, args) -> SearchConfig:
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     search = _search_settings(cfg, args)
-    outdir = _outdir(args)
     started = time.perf_counter()
     status = 0
     try:
@@ -551,6 +552,7 @@ def _cmd_solve(args) -> int:
         print(f"solve: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - started
+    outdir = _outdir(args)
     _write_solve_artifacts(outdir, cert, search.mode)
     print(
         f"solve: {'passed' if status == 0 else 'best candidate only'}; "
@@ -564,11 +566,10 @@ def _cmd_solve(args) -> int:
 def _cmd_certify(args) -> int:
     cfg = load_config(args.config)
     search = _search_settings(cfg, args)
-    outdir = _outdir(args)
     horizon = search.resolve_horizon(cfg.game)
     profile = _profile_from_csv(args.profile, cfg.game, horizon)
     cert = certify(cfg.game, profile, cfg.initial_state, horizon, search.epsilon)
-    write_certificate(outdir / "certificate.txt", cert, mode="certify")
+    write_certificate(_outdir(args) / "certificate.txt", cert, mode="certify")
     print(
         f"certify: {'passed' if cert.passed else 'failed'}; worst gap "
         f"{np.max(cert.gaps):.6g} (allowance {search.epsilon / 3.0:.6g})"
@@ -578,7 +579,6 @@ def _cmd_certify(args) -> int:
 
 def _cmd_marginals(args) -> int:
     cfg = load_config(args.config)
-    outdir = _outdir(args)
     profile = _profile_from_csv(args.strategy, cfg.game)
     tables = []
     for strategy in profile:
@@ -586,6 +586,7 @@ def _cmd_marginals(args) -> int:
             cfg.game, strategy, cfg.initial_state[strategy.player], strategy.horizon
         )
         tables.append((strategy.player, table.probs))
+    outdir = _outdir(args)
     write_probability_csv(outdir / "marginals.csv", tables)
     print(f"marginals: wrote {outdir / 'marginals.csv'}")
     return 0

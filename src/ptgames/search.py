@@ -236,7 +236,7 @@ class ProfileGrid:
         start = 0
         for p in self.game.players:
             stop = start + self.horizon * p.state_count
-            dist = self._options[p.action_count][block[:, start:stop]]
+            dist = np.take(self._options[p.action_count], block[:, start:stop], axis=0)
             out.append(dist.reshape(len(block), self.horizon, p.state_count, p.action_count))
             start = stop
         return out
@@ -368,6 +368,17 @@ def _evaluate(game: ValidatedGame, dists, x: tuple, horizon: int, cutoff: float 
     return values, best_values
 
 
+def _worst_gaps(gaps: np.ndarray) -> np.ndarray:
+    """Each row's largest gap, NaN entries (players a cutoff skipped)
+    ignored: ``np.fmax.reduce(gaps, axis=1)`` as a fold over the few player
+    columns, without a reduction's per-row cost.  The values are the same;
+    only a zero's sign may differ, which the search's comparisons ignore."""
+    worst = gaps[:, 0]
+    for column in gaps.T[1:]:
+        worst = np.fmax(worst, column)
+    return worst
+
+
 def _passes(worst, epsilon: float):
     """The pass rule on a profile's largest gap ``worst`` (or an array of
     them): no player gains more than epsilon/3 plus slack by deviating."""
@@ -461,7 +472,7 @@ def search_equilibrium(
             # its later players are skipped
             cutoff = math.inf if best is None else best[0]
             values, best_values = _evaluate(game, grid.strategies(block), x, horizon, cutoff)
-            worst = np.fmax.reduce(best_values - values, axis=1)
+            worst = _worst_gaps(best_values - values)
             passing = np.flatnonzero(_passes(worst, config.epsilon))
             if len(passing):
                 r = int(passing[0])

@@ -1,7 +1,8 @@
 """Shared test utilities: random instance factories and slow independent
-oracles (joint-chain enumeration, brute-force policy search, per-stage
-opponent weights, per-entry prosumer payoffs, per-draw sampling, full-grid
-enumeration, recursive lattice compositions) used to cross-check the vectorized code, and index-tuple views
+oracles (joint-chain enumeration, brute-force policy search, backward
+induction by reductions, per-stage opponent weights, per-entry prosumer
+payoffs, per-draw sampling, full-grid enumeration, recursive lattice
+compositions) used to cross-check the vectorized code, and index-tuple views
 of profile grids."""
 from __future__ import annotations
 
@@ -264,6 +265,23 @@ def policy_value(game, player, rewards, initial_state, choice):
         if k < m - 1:
             mass = np.einsum("s,sp->p", mass, game.kernel(player, k)[state_ix, choice[k]])
     return total
+
+
+def backward_by_reduction(game, player, q):
+    """``best_response._backward`` with numpy reductions (``max``,
+    ``argmax``) over the action axis, which its folds must match bit for
+    bit: values and lowest-index optimal actions, each (rows, horizon, S),
+    of a block of discounted stage rewards ``q`` (rows, horizon, S, A)."""
+    rows, m, S, _ = q.shape
+    values = np.empty((rows, m, S))
+    choice = np.empty((rows, m, S), dtype=int)
+    for k in range(m - 1, -1, -1):
+        to_go = q[:, k]
+        if k < m - 1:
+            to_go = to_go + np.einsum("sap,bp->bsa", game.kernel(player, k), best)
+        choice[:, k] = to_go.argmax(axis=2)
+        best = values[:, k] = to_go.max(axis=2)
+    return values, choice
 
 
 def enumerate_dm_policies(game, player, rewards, initial_state, horizon=None, cap=10**6):

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 import ptgames as pg
+from ptgames import best_response
 from helpers import (
+    backward_by_reduction,
     enumerate_dm_policies,
     random_game,
     random_initial_state,
+    random_kernel,
     random_profile,
     random_strategy,
 )
@@ -138,6 +141,37 @@ def test_ties_break_to_lowest_action_index():
     rewards = pg.StageRewardTable(player=0, rewards=np.zeros((2, 1, 3)))
     result = pg.backward_induction(game, 0, rewards, 0, 2)
     assert np.array_equal(result.policy.choice, np.zeros((2, 1), dtype=int))
+
+
+def tied_game(rng, action_count, stages):
+    """One player on 3 states whose last action has action 0's kernel rows,
+    so the two actions' reward-to-go tie at every stage where their rewards
+    do."""
+    probs = random_kernel(rng, 3, action_count, stages).probs.copy()
+    probs[:, :, -1] = probs[:, :, 0]
+    player = pg.PlayerSpec(3, action_count, pg.TransitionKernel(probs=probs))
+    return pg.validate_game(
+        pg.GameSpec(players=(player,), discount_beta=0.5, payoff=np.zeros((1, 3, action_count)))
+    )
+
+
+@pytest.mark.parametrize("stages", [1, 2], ids=["stationary", "two-stage"])
+@pytest.mark.parametrize("rows", [1, 2, 455])
+@pytest.mark.parametrize("action_count", [1, 2, 3, 5])
+def test_backward_folds_equal_the_reductions(action_count, rows, stages):
+    # rewards from a small set with both zeros, so columns tie often and
+    # maxima land on signed zeros; every other row repeats action 0's
+    # rewards in the last action, so those rows tie at every stage
+    rng = np.random.default_rng(1000 * action_count + 10 * rows + stages)
+    game = tied_game(rng, action_count, stages)
+    q = rng.choice([-1.0, -0.0, 0.0, 0.25, 1.0], size=(rows, 3, 3, action_count))
+    q[::2, ..., -1] = q[::2, ..., 0]
+    values, choice = best_response._backward(game, 0, q)
+    expected_values, expected_choice = backward_by_reduction(game, 0, q)
+    assert np.array_equal(values, expected_values)
+    assert np.array_equal(np.signbit(values), np.signbit(expected_values))
+    assert np.array_equal(choice, expected_choice)
+    assert choice.dtype == expected_choice.dtype
 
 
 def test_backward_induction_is_reproducible():

@@ -519,6 +519,27 @@ def test_strategy_csv_rejects_out_of_range_indices(tmp_path, capsys, command, fl
     assert f"config error: {plot}: line {len(lines) + 1}: stage must be >= 1" in err
 
 
+def test_solve_refused_grid_leaves_no_artifact_directory(tmp_path, capsys):
+    doc = json.loads(BUNDLED_CONFIG.read_text())
+    doc["run"].update(mode="grid", initial_delta=1e-6)
+    out = tmp_path / "out"
+    assert run_cli("solve", "--config", write_config(tmp_path, doc), "--out", out) == 2
+    assert "use sampled mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("certify", "--profile"), ("marginals", "--strategy")])
+def test_rejected_strategy_csv_leaves_no_artifact_directory(tmp_path, capsys, command, flag):
+    uniform = np.full((3, 3, 2), 0.5)
+    bad = tmp_path / "bad.csv"
+    cli.write_probability_csv(bad, [(i, uniform) for i in range(3)])
+    bad.write_text(bad.read_text() + "0,0,0,0,0.5\n")  # a stage-0 row
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", BUNDLED_CONFIG, "--out", out, flag, bad) == 2
+    assert "stage must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_marginals_command(tmp_path):
     cfg_doc = dominant_config()
     cfg = write_config(tmp_path, cfg_doc)

@@ -748,6 +748,35 @@ def test_grid_exhaust_workload_certifies_only_live_rows(monkeypatch, tmp_path):
     assert rows <= 729
 
 
+def test_benchmark_workloads_hold_their_pins(tmp_path, capsys):
+    # every benchmark config, generated read-only from the benchmark's
+    # workloads file and solved through the CLI: a change that moves a pin
+    # fails here, not only in the benchmark
+    workloads = runpy.run_path(str(BENCHMARKS / "workloads.py"))
+    for name, pin in workloads["WORKLOADS"].items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(pin.config_text(workloads["DEFAULT_SEED"]))
+        out = tmp_path / name
+        assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == pin.exit_code, name
+        lines = (out / "certificate.txt").read_text().splitlines()
+        header = dict(line.split(": ", 1) for line in lines if line.startswith(
+            ("candidates_examined:", "horizon:", "final_delta:")
+        ))
+        assert int(header["candidates_examined"]) == pin.candidates_examined, name
+        assert int(header["horizon"]) == pin.horizon, name
+        assert float(header["final_delta"]) == pin.final_delta, name
+
+
+@pytest.mark.parametrize("players", [1, 2, 3, 6])
+def test_worst_gap_fold_equals_fmax_reduce(players):
+    # NaN marks a player a cutoff skipped; rows of all NaN included
+    rng = np.random.default_rng(players)
+    gaps = rng.choice([np.nan, -0.5, 0.0, 1e-17, 2.0], size=(455, players))
+    expected = np.fmax.reduce(gaps, axis=1)
+    assert np.isnan(gaps).any(axis=1).sum() > 50
+    assert np.array_equal(search._worst_gaps(gaps), expected, equal_nan=True)
+
+
 def outcome(game, x, config):
     """The search's certificate: the passing one, or the best on exhaustion."""
     try:
