@@ -153,19 +153,22 @@ class WeightingFunction:
         arr = np.asarray(y, dtype=float)
         scalar = arr.ndim == 0
         flat = np.atleast_1d(arr)
-        # one min/max pair settles the common case; only a NaN (which makes
-        # both NaN) or an out-of-range entry takes the per-entry test
+        # one min/max pair settles the range; a NaN makes both NaN and fails it
         low, high = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
-        if not (-_DOMAIN_SLACK <= low and high <= 1.0 + _DOMAIN_SLACK) and (
-            np.any(flat < -_DOMAIN_SLACK) or np.any(flat > 1.0 + _DOMAIN_SLACK)
-        ):
+        if not (-_DOMAIN_SLACK <= low and high <= 1.0 + _DOMAIN_SLACK):
             raise ValueError(f"weighting argument outside [0, 1]: min={low}, max={high}")
-        flat = np.clip(flat, 0.0, 1.0)
+        # clipping keeps in-range entries (and -0.0) bit for bit, so it runs
+        # only when some entry lies in the slack band
+        if low < 0.0 or high > 1.0:
+            flat = np.clip(flat, 0.0, 1.0)
         if self.kind == "identity":
-            out = flat
+            out = flat.copy()
         elif self.kind == "prelec":
-            out = np.zeros_like(flat)
-            pos = flat > 0.0
+            # integer indices on the raveled entries move less data than a
+            # boolean mask's gather and scatter
+            flat = flat.ravel()
+            pos = np.flatnonzero(flat > 0.0)
+            out = np.zeros(flat.shape)
             out[pos] = np.exp(-((-np.log(flat[pos])) ** self.alpha))
         elif self.kind == "power_complement":
             out = 1.0 - (1.0 - flat) ** self.alpha

@@ -34,7 +34,7 @@ import numpy as np
 from .best_response import _backward
 from .criterion import _check_epsilon, _stage_terms, truncation_horizon
 from .game import ValidatedGame
-from .marginals import MarkovStrategy, _check_tables, _distribution_problem, _propagate, _reachable
+from .marginals import MarkovStrategy, _check_tables, _propagate, _reachable
 
 __all__ = [
     "GridTooLargeError",
@@ -218,16 +218,10 @@ class ProfileGrid:
                 f"profile grid at step {self.delta:g} holds {_count_text(self.total_profiles)} "
                 f"candidates, above the cap {cap}; use sampled mode"
             )
-        self._options = {}
-        for p in game.players:
-            if p.action_count not in self._options:
-                options = _lattice(p.action_count, resolution)
-                # the batched pass reads these rows without building a
-                # MarkovStrategy, so they get the strategy rule here, once
-                problem = _distribution_problem(options)
-                if problem is not None:
-                    raise ValueError(f"lattice row {problem[1][0]}: {problem[0]}")
-                self._options[p.action_count] = options
+        # stars-and-bars rows are distributions by construction, so the
+        # batched pass reads them unchecked
+        counts = {p.action_count for p in game.players}
+        self._options = {count: _lattice(count, resolution) for count in counts}
 
     def strategies(self, block: np.ndarray) -> list:
         """Per-player strategy blocks, each of shape (rows, horizon, S, A), of
@@ -313,7 +307,14 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
         for start in range(0, len(order), rows):
             yield _unravel(order[start : start + rows], grid)
         return
-    highs = np.array(grid.cell_sizes)
+    cells = len(grid.cell_sizes)
+    largest = max(grid.cell_sizes)
+    # equal cells take a scalar bound, which draws the same stream as the
+    # array of them without broadcasting it
+    highs = largest if min(grid.cell_sizes) == largest else np.array(grid.cell_sizes)
+    # the narrowest integer that holds every index packs the dedup keys
+    index_type = np.min_scalar_type(largest - 1)
+    key = np.dtype((np.void, cells * index_type.itemsize))
     visited = set()
     produced = 0
     attempts = 0
@@ -321,11 +322,11 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
     # collisions pile up; the draw sequence stays deterministic either way.
     while produced < limit and attempts < 20 * limit:
         m = min(rows, limit - produced, 20 * limit - attempts)
-        draws = rng.integers(0, highs, size=(m, len(highs)))
+        draws = rng.integers(0, highs, size=(m, cells))
         attempts += m
         fresh = []
         # one bytes key per row hashes faster than a tuple of Python ints
-        keys = draws.view(np.dtype((np.void, draws.shape[1] * draws.itemsize))).ravel()
+        keys = draws.astype(index_type).view(key).ravel()
         for r, candidate in enumerate(keys.tolist()):
             if candidate not in visited:
                 visited.add(candidate)

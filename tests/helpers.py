@@ -1,9 +1,9 @@
 """Shared test utilities: random instance factories and slow independent
 oracles (joint-chain enumeration, brute-force policy search, backward
-induction by reductions, per-stage opponent weights, per-entry prosumer
-payoffs, per-draw sampling, full-grid enumeration, recursive lattice
-compositions) used to cross-check the vectorized code, and index-tuple views
-of profile grids."""
+induction by reductions, per-stage opponent weights, masked weighting,
+per-entry prosumer payoffs, per-draw sampling, full-grid enumeration,
+recursive lattice compositions) used to cross-check the vectorized code,
+and index-tuple views of profile grids."""
 from __future__ import annotations
 
 import itertools
@@ -42,6 +42,28 @@ def random_weighting(rng):
     w1 = float(rng.uniform(0.05, 0.6))
     w2 = float(rng.uniform(w1, 0.95))
     return pg.WeightingFunction.from_table([(0, 0), (y1, w1), (y2, w2), (1, 1)])
+
+
+def weighting_by_mask(weighting, y):
+    """Reference weighting: ``WeightingFunction.__call__`` as it was before
+    the integer-index form, with an unconditional ``np.clip`` and, for
+    ``prelec``, a boolean-mask gather and scatter.  Values only; the range
+    check is not repeated here."""
+    arr = np.asarray(y, dtype=float)
+    flat = np.clip(np.atleast_1d(arr), 0.0, 1.0)
+    if weighting.kind == "identity":
+        out = flat
+    elif weighting.kind == "prelec":
+        out = np.zeros_like(flat)
+        pos = flat > 0.0
+        out[pos] = np.exp(-((-np.log(flat[pos])) ** weighting.alpha))
+    elif weighting.kind == "power_complement":
+        out = 1.0 - (1.0 - flat) ** weighting.alpha
+    else:
+        out = np.interp(flat, weighting.knots_y, weighting.knots_w)
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 def random_valuation(rng):

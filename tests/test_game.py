@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ptgames as pg
-from helpers import random_game
+from helpers import random_game, weighting_by_mask
 
 # exp(-(ln 2)**0.8) evaluated at 40 decimal digits with mpmath, frozen here.
 PRELEC_08_AT_HALF = 0.47432371775586135
@@ -95,21 +95,66 @@ def test_table_weighting_validates_knots():
         pg.WeightingFunction.from_table([(0, 0), (0.5, 0.3), (0.5, 0.4), (1, 1)])
 
 
+FOUR_KINDS = (
+    pg.WeightingFunction.identity(),
+    pg.WeightingFunction.prelec(0.7),
+    pg.WeightingFunction.power_complement(1.8),
+    pg.WeightingFunction.from_table([(0, 0), (0.4, 0.2), (1, 1)]),
+)
+
+
 def test_weighting_rejects_out_of_domain():
-    w = pg.WeightingFunction.prelec(0.8)
-    with pytest.raises(ValueError):
-        w(-0.1)
-    with pytest.raises(ValueError):
-        w(1.1)
+    # a NaN fails the min/max range check like an entry past the slack band
+    slack = pg.game._DOMAIN_SLACK
+    for w in FOUR_KINDS:
+        for bad in (-0.1, 1.1, -2 * slack, 1.0 + 2 * slack, np.nan, -np.inf, np.inf):
+            for y in (bad, np.array([0.2, bad, 0.5]), np.array([[0.0, 1.0], [bad, 0.3]])):
+                with pytest.raises(ValueError, match=r"weighting argument outside \[0, 1\]"):
+                    w(y)
+
+
+def weighting_inputs():
+    """Edge values (signed zeros, the least subnormal, exact 1, entries in
+    the slack band just outside [0, 1]), dense and 89 %-zero arrays, in
+    0-d, 1-D, 2-D and empty shapes."""
+    slack = pg.game._DOMAIN_SLACK
+    edges = np.array([0.0, -0.0, 5e-324, 1.0, -slack, -slack / 2, 1.0 + slack, 1.0 + slack / 2, 0.5])
+    rng = np.random.default_rng(12)
+    dense = rng.random((7, 36))
+    sparse = np.where(rng.random((2, 7776)) < 0.89, 0.0, rng.random((2, 7776)))
+    yield from (np.array(v) for v in edges)  # 0-d
+    yield from (float(v) for v in edges)
+    yield edges
+    yield edges.reshape(3, 3)
+    yield dense
+    yield dense[:, ::3]  # not contiguous
+    yield sparse
+    yield np.concatenate([sparse.ravel()[:100], edges])
+    yield np.empty(0)
+    yield np.empty((3, 0))
+
+
+@pytest.mark.parametrize("w", FOUR_KINDS, ids=lambda w: w.kind)
+def test_weighting_matches_the_masked_form_bit_for_bit(w):
+    # the integer-index gather and the skipped in-range clip give the bits,
+    # signed zeros included, of the boolean-mask form with a clip
+    for y in weighting_inputs():
+        out, expected = w(y), weighting_by_mask(w, y)
+        assert type(out) is type(expected)
+        assert np.shape(out) == np.shape(expected)
+        assert np.array_equal(out, expected), y
+        assert np.array_equal(np.signbit(out), np.signbit(expected)), y
+
+
+def test_identity_weighting_returns_a_new_array():
+    x = np.array([0.0, 0.25, 1.0])
+    out = pg.WeightingFunction.identity()(x)
+    x[:] = 0.5
+    assert out.tolist() == [0.0, 0.25, 1.0]
 
 
 def test_weighting_scalar_and_array_forms_agree():
-    for w in (
-        pg.WeightingFunction.identity(),
-        pg.WeightingFunction.prelec(0.7),
-        pg.WeightingFunction.power_complement(1.8),
-        pg.WeightingFunction.from_table([(0, 0), (0.4, 0.2), (1, 1)]),
-    ):
+    for w in FOUR_KINDS:
         ys = np.linspace(0.0, 1.0, 11)
         out = w(ys)
         assert isinstance(w(0.3), float)

@@ -10,6 +10,7 @@ import pytest
 
 import ptgames as pg
 from ptgames import cli, criterion, search
+from ptgames.marginals import _distribution_problem
 from helpers import (
     compositions,
     enumerate_dm_policies,
@@ -113,6 +114,8 @@ def test_lattice_matches_recursive_compositions():
             rows = search._lattice(count, res)
             assert rows.dtype == expected.dtype
             assert np.array_equal(rows, expected), (count, res)
+            # the search reads lattice rows without the strategy check
+            assert _distribution_problem(rows) is None, (count, res)
 
 
 def test_simplex_grid_rejects_bad_arguments():
@@ -231,7 +234,6 @@ def test_refinement_doubles_the_resolution_exactly(monkeypatch):
         return np.broadcast_to(np.full(action_count, 1.0 / action_count), (rows, action_count))
 
     monkeypatch.setattr(search, "_lattice", uniform)
-    monkeypatch.setattr(search, "_distribution_problem", lambda options: None)
     config = pg.SearchConfig(
         epsilon=0.01, horizon=1, mode="sampled", initial_delta=1 / 12_845_056,
         max_candidates=2, refinement_cap=3,
@@ -602,11 +604,39 @@ def test_stage_terms_match_outer_product_oracle(kind, n):
                 assert contributions[r, k] == pytest.approx(own, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("n, horizon, limit", [(2, 1, 100), (2, 2, 40), (2, 2, 80), (3, 2, 300)])
-def test_block_sampler_keeps_the_per_draw_sequence(n, horizon, limit):
-    # (2, 1, 100) shuffles the whole 9-profile grid; the others reject
-    # against the visited set, (2, 2, 80) with many collisions
-    grid = pg.ProfileGrid(dominant_game(n), horizon, 2)
+def still_game(action_counts, state_count=1):
+    """Players with the given action counts whose states never move, and
+    payoff 0: a game for the sampler, which reads only the grid's shape."""
+    players = tuple(
+        pg.PlayerSpec(state_count, a, pg.TransitionKernel.stationary(
+            np.broadcast_to(np.eye(state_count)[:, None, :], (state_count, a, state_count))
+        ))
+        for a in action_counts
+    )
+    shape = (len(players),) + (state_count,) * len(players) + tuple(action_counts)
+    return pg.validate_game(pg.GameSpec(players=players, discount_beta=0.5, payoff=np.zeros(shape)))
+
+
+@pytest.mark.parametrize(
+    "actions, states, horizon, resolution, limit",
+    [
+        pytest.param((2, 2), 1, 1, 2, 100, id="2-1-100"),
+        pytest.param((2, 2), 1, 2, 2, 40, id="2-2-40"),
+        pytest.param((2, 2), 1, 2, 2, 80, id="2-2-80"),
+        pytest.param((2, 2, 2), 1, 2, 2, 300, id="3-2-300"),
+        pytest.param((2, 3), 2, 1, 2, 50, id="mixed-actions"),
+        pytest.param((2, 3), 1, 1, 2, 17, id="mixed-actions-17-of-18"),
+        pytest.param((3,), 2, 1, 32, 300, id="uint16-keys"),
+        pytest.param((2, 3), 1, 1, 32, 300, id="mixed-actions-uint16-keys"),
+    ],
+)
+def test_block_sampler_keeps_the_per_draw_sequence(actions, states, horizon, resolution, limit):
+    # the first grid (9 profiles) is shuffled whole; the others reject
+    # against the visited set.  Equal cell sizes take the scalar draw
+    # bound, mixed 2- and 3-action players the array of sizes; (2, 2) at
+    # 80 of 81 and (2, 3) at 17 of 18 profiles collide often; resolution
+    # 32 gives 3-action cells of 561 indices, so the keys hold uint16
+    grid = pg.ProfileGrid(still_game(actions, states), horizon, resolution)
     for seed in range(4):
         reference_rng = np.random.default_rng(seed)
         expected = list(per_draw_profile_indices(grid, reference_rng, limit))
