@@ -15,7 +15,7 @@ import numpy as np
 
 from .criterion import _stage_terms
 from .game import ValidatedGame
-from .marginals import DeterministicMarkovPolicy, _check_tables
+from .marginals import DeterministicMarkovPolicy, _check_tables, _PlayerTable
 
 __all__ = [
     "StageRewardTable",
@@ -26,33 +26,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StageRewardTable:
+class StageRewardTable(_PlayerTable):
     """Discounted one-player stage rewards induced by fixed opponents.
 
     ``rewards`` has shape (horizon, states, actions); the stage-t entry
     already carries beta**(t-1), so downstream recursions must not discount
-    again.
+    again.  Every entry must be finite (checked on construction).
     """
 
-    player: int
     rewards: np.ndarray
     noun = "reward table"
 
     def __post_init__(self):
-        if np.ndim(self.rewards) != 3:
-            raise ValueError(f"reward table needs shape (horizon, S, A), got {np.shape(self.rewards)}")
-
-    @property
-    def horizon(self) -> int:
-        return self.rewards.shape[0]
-
-    @property
-    def state_count(self) -> int:
-        return self.rewards.shape[1]
-
-    @property
-    def action_count(self) -> int:
-        return self.rewards.shape[2]
+        self._freeze("finite")
 
 
 @dataclass(frozen=True)

@@ -163,21 +163,19 @@ def truncation_error_bound(game: ValidatedGame, horizon: int) -> np.ndarray:
     return np.array(game.value_bounds) * sizes * beta**horizon / (1.0 - beta)
 
 
-def lipschitz_delta(epsilon: float, game: ValidatedGame, lipschitz_bound: float | None = None):
+def lipschitz_delta(epsilon: float, game: ValidatedGame):
     """Simplex grid step guaranteeing some grid profile is close enough in
     value to any profile, together with the horizon used in its derivation.
 
     Returns ``(delta, horizon)``; the horizon is the truncation horizon for
     ``epsilon``/2.  Requires every player's weighting function to be
-    Lipschitz with constant at most ``lipschitz_bound`` (>= 1; by default
-    the largest constant, at least 1); prelec weightings with exponent below
-    1 are rejected because their slope is unbounded.  Degenerate games whose
-    payoffs value to zero everywhere admit any grid, and step 1 is returned
-    for them.  Raises ValueError when the step is too small for a float.
+    Lipschitz; the step uses the largest constant, at least 1.  Prelec
+    weightings with exponent below 1 are rejected because their slope is
+    unbounded.  Degenerate games whose payoffs value to zero everywhere admit
+    any grid, and step 1 is returned for them.  Raises ValueError when the
+    step is too small for a float.
     """
     _check_epsilon(epsilon)
-    if lipschitz_bound is not None and lipschitz_bound < 1.0:
-        raise ValueError(f"Lipschitz bound must be >= 1, got {lipschitz_bound}")
     constants = [p.weighting.lipschitz_constant for p in game.players]
     for i, (p, constant) in enumerate(zip(game.players, constants)):
         if constant is None:
@@ -185,13 +183,7 @@ def lipschitz_delta(epsilon: float, game: ValidatedGame, lipschitz_bound: float 
                 f"weighting of player {i} ({p.weighting.kind}) is not Lipschitz; "
                 "grid-step bounds do not apply, use sampled search"
             )
-        if lipschitz_bound is not None and constant > lipschitz_bound:
-            raise ValueError(
-                f"weighting of player {i} has Lipschitz constant {constant}, "
-                f"exceeding the declared bound {lipschitz_bound}"
-            )
-    if lipschitz_bound is None:
-        lipschitz_bound = max(1.0, *constants)
+    lipschitz_bound = max(1.0, *constants)
     horizon = _horizon(game, math.log(epsilon) - math.log(2.0))
     worst = float(np.max(game.value_bounds))
     if worst <= 0.0:

@@ -34,7 +34,9 @@ __all__ = [
 # near-normalized probabilities can overshoot by a few ulp.
 _DOMAIN_SLACK = 1e-9
 
-_ROW_SUM_TOL = 1e-12
+# How far a probability row (a kernel row, a strategy's action distribution,
+# a generation pmf) may sum from 1.
+_SUM_TOL = 1e-12
 
 
 class GameValidationError(ValueError):
@@ -55,6 +57,34 @@ class GameValidationError(ValueError):
                 "; ".join(self.violations),
             )
         )
+
+
+def _distribution_problem(values: np.ndarray, rule: str = "distribution"):
+    """Why the rows along the last axis of ``values`` break ``rule``, as
+    ``(reason, index of the row)``; None when they keep it.  The one
+    probability rule of the package.
+
+    ``rule`` is "distribution" (finite, nonnegative entries summing to 1
+    within ``_SUM_TOL``), "nonnegative" (finite, nonnegative entries) or
+    "finite" (finite entries, which then need not be probabilities).
+    Non-finite entries are reported first (NaN passes every comparison),
+    then negative ones, then the row whose sum is furthest off.
+    """
+    entry = "value" if rule == "finite" else "probability"
+    checks = [(~np.isfinite(values), "non-finite")]
+    if rule != "finite":
+        checks.append((values < 0.0, "negative"))
+    for bad, reason in checks:
+        rows = np.any(bad, axis=-1)
+        if np.any(rows):
+            row = np.unravel_index(np.argmax(rows), rows.shape)
+            return f"{reason} {entry} {values[row][bad[row]][0]:.12g}", row
+    if rule == "distribution":
+        error = np.abs(values.sum(axis=-1) - 1.0)
+        if np.any(error > _SUM_TOL):
+            row = np.unravel_index(np.argmax(error), error.shape)
+            return f"distribution sums to {values[row].sum():.12g}", row
+    return None
 
 
 # ---------- distortion functions ----------
@@ -443,7 +473,7 @@ def validate_game(spec: GameSpec) -> ValidatedGame:
                 f"{kern[t, s, a, y]:.12g} at (player {i}, t={t + 1}, s={s}, a={a}, next={y})"
             )
         sums = kern.sum(axis=3)
-        for (t, s, a) in np.argwhere(np.abs(sums - 1.0) > _ROW_SUM_TOL):
+        for (t, s, a) in np.argwhere(np.abs(sums - 1.0) > _SUM_TOL):
             problems.append(
                 f"row sum {sums[t, s, a]:.12g} != 1 at (player {i}, t={t + 1}, s={s}, a={a})"
             )
@@ -469,6 +499,11 @@ def validate_game(spec: GameSpec) -> ValidatedGame:
 
     valued, bounds = [], []
     if table is not None:
+        # the private copy comes first: an identity valuation, or a player
+        # whose reordering moves only length-1 axes, values to a view of it
+        if table.flags.writeable:
+            table = table.copy()
+            table.setflags(write=False)
         # a finite payoff can still overflow under a steep valuation
         with np.errstate(over="ignore"):
             for i, p in enumerate(players):
@@ -486,9 +521,6 @@ def validate_game(spec: GameSpec) -> ValidatedGame:
     if problems:
         raise GameValidationError(problems)
 
-    if table.flags.writeable:
-        table = table.copy()
-    table.setflags(write=False)
     bounds = np.array(bounds)
     bounds.setflags(write=False)
     return ValidatedGame(

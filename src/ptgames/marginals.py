@@ -18,12 +18,12 @@ carry no mass).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .game import ValidatedGame
+from .game import ValidatedGame, _distribution_problem
 
 __all__ = [
     "MarkovStrategy",
@@ -36,31 +36,7 @@ __all__ = [
     "dm_policy_to_strategy",
 ]
 
-_DIST_TOL = 1e-12
 FLOW_TOL = 1e-9
-
-
-def _distribution_problem(dist: np.ndarray, sums: bool = True):
-    """Why the rows along the last axis of ``dist`` are not all probability
-    distributions, as ``(reason, index of the row)``; None when they are.
-
-    A row must hold finite, nonnegative entries summing to 1 within 1e-12
-    (the sum is not checked when ``sums`` is false).  Non-finite entries are
-    reported first (NaN passes every comparison), then negative ones, then
-    the row whose sum is furthest off.
-    """
-    for bad, reason in ((~np.isfinite(dist), "non-finite"), (dist < 0.0, "negative")):
-        rows = np.any(bad, axis=-1)
-        if np.any(rows):
-            row = np.unravel_index(np.argmax(rows), rows.shape)
-            return f"{reason} probability {dist[row][bad[row]][0]:.12g}", row
-    if not sums:
-        return None
-    error = np.abs(dist.sum(axis=-1) - 1.0)
-    if np.any(error > _DIST_TOL):
-        row = np.unravel_index(np.argmax(error), error.shape)
-        return f"action distribution sums to {dist[row].sum():.12g}", row
-    return None
 
 
 def _check_tables(game, tables=None, horizon=None, initial_state=None, player=None):
@@ -74,12 +50,12 @@ def _check_tables(game, tables=None, horizon=None, initial_state=None, player=No
     ``player`` is the player the call is about: the one table must be
     theirs, and their entry in a sequence is not read (it may be None).
     ``initial_state`` is the one table's start state, or one per player; a
-    start state is an integer.  ``horizon`` must be at least 1, and every
-    table must cover it.  Only the horizon rule runs when ``game`` is None.
+    start state is an integer.  ``horizon`` is an integer, at least 1, and
+    every table must cover it.  Only the horizon rule runs when ``game`` is None.
     """
-    if horizon is not None and horizon < 1:
-        raise ValueError(f"horizon: must be >= 1, got {horizon}")
-    single = hasattr(tables, "player")
+    if horizon is not None and not (isinstance(horizon, numbers.Integral) and horizon >= 1):
+        raise ValueError(f"horizon: must be an integer >= 1, got {horizon}")
+    single = isinstance(tables, _PlayerTable)
     if single and player is None:
         player = tables.player
     if player is not None and not 0 <= player < game.n:
@@ -117,7 +93,51 @@ def _check_tables(game, tables=None, horizon=None, initial_state=None, player=No
 
 
 @dataclass(frozen=True)
-class MarkovStrategy:
+class _PlayerTable:
+    """One player's (stage, state, action) table: the base of strategies,
+    marginal tables and reward tables.
+
+    A subclass declares its array field (the last field), its ``noun``,
+    which names the table in messages, and its entry rule, a rule of
+    :func:`~ptgames.game._distribution_problem` that its ``__post_init__``
+    passes to :meth:`_freeze`.
+    """
+
+    player: int
+
+    def _freeze(self, rule: str) -> None:
+        """Replace the array field by a read-only float copy, after the
+        shape rule and the entry ``rule``."""
+        name = fields(self)[-1].name
+        arr = np.array(getattr(self, name), dtype=float)
+        if arr.ndim != 3:
+            raise ValueError(f"{self.noun} needs shape (horizon, S, A), got {arr.shape}")
+        problem = _distribution_problem(arr, rule)
+        if problem is not None:
+            reason, (t, s) = problem
+            raise ValueError(f"{reason} at (t={t + 1}, s={s})")
+        arr.setflags(write=False)
+        object.__setattr__(self, name, arr)
+
+    @property
+    def _shape(self) -> tuple:
+        return getattr(self, fields(self)[-1].name).shape
+
+    @property
+    def horizon(self) -> int:
+        return self._shape[0]
+
+    @property
+    def state_count(self) -> int:
+        return self._shape[1]
+
+    @property
+    def action_count(self) -> int:
+        return self._shape[2]
+
+
+@dataclass(frozen=True)
+class MarkovStrategy(_PlayerTable):
     """Randomized Markov strategy of one player over a finite stage range.
 
     ``dist`` has shape (horizon, states, actions); ``dist[k, s]`` is the
@@ -125,32 +145,11 @@ class MarkovStrategy:
     probability distribution (checked on construction).
     """
 
-    player: int
     dist: np.ndarray
     noun = "strategy"
 
     def __post_init__(self):
-        arr = np.array(self.dist, dtype=float)
-        if arr.ndim != 3:
-            raise ValueError(f"strategy needs shape (horizon, S, A), got {arr.shape}")
-        problem = _distribution_problem(arr)
-        if problem is not None:
-            reason, (t, s) = problem
-            raise ValueError(f"{reason} at (t={t + 1}, s={s})")
-        arr.setflags(write=False)
-        object.__setattr__(self, "dist", arr)
-
-    @property
-    def horizon(self) -> int:
-        return self.dist.shape[0]
-
-    @property
-    def state_count(self) -> int:
-        return self.dist.shape[1]
-
-    @property
-    def action_count(self) -> int:
-        return self.dist.shape[2]
+        self._freeze("distribution")
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ class DeterministicMarkovPolicy:
 
 
 @dataclass(frozen=True)
-class MarginalTable:
+class MarginalTable(_PlayerTable):
     """Per-stage (state, action) occupancy probabilities of one player.
 
     ``probs`` has shape (horizon, states, actions).  Construction only checks
@@ -192,32 +191,11 @@ class MarginalTable:
     realizability is exactly the absence of flow violations.
     """
 
-    player: int
     probs: np.ndarray
     noun = "marginal table"
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
-        if arr.ndim != 3:
-            raise ValueError(f"marginal table needs shape (horizon, S, A), got {arr.shape}")
-        problem = _distribution_problem(arr, sums=False)
-        if problem is not None:
-            reason, (t, s) = problem
-            raise ValueError(f"{reason} at (t={t + 1}, s={s})")
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-
-    @property
-    def horizon(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def state_count(self) -> int:
-        return self.probs.shape[1]
-
-    @property
-    def action_count(self) -> int:
-        return self.probs.shape[2]
+        self._freeze("nonnegative")
 
 
 class FlowViolation(NamedTuple):

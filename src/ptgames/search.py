@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,8 +201,8 @@ class ProfileGrid:
 
     def __init__(self, game: ValidatedGame, horizon: int, resolution: int, cap: int | None = None):
         _check_tables(game, horizon=horizon)
-        if resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {resolution}")
+        if not (isinstance(resolution, numbers.Integral) and resolution >= 1):
+            raise ValueError(f"resolution must be an integer >= 1, got {resolution}")
         self.game = game
         self.horizon = horizon
         self.resolution = resolution

@@ -25,6 +25,7 @@ valuation).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -37,6 +38,7 @@ from .game import (
     ValidatedGame,
     ValuationFunction,
     WeightingFunction,
+    _distribution_problem,
     validate_game,
 )
 
@@ -68,12 +70,9 @@ class GenerationDistribution:
         arr = np.array(self.pmf, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("generation pmf must be a nonempty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("generation pmf contains non-finite mass")
-        if np.any(arr < 0.0):
-            raise ValueError("generation pmf contains negative mass")
-        if abs(arr.sum() - 1.0) > 1e-9:
-            raise ValueError(f"generation pmf sums to {arr.sum():.12g}, expected 1")
+        problem = _distribution_problem(arr)
+        if problem is not None:
+            raise ValueError(problem[0])
         arr.setflags(write=False)
         object.__setattr__(self, "start", int(self.start))
         object.__setattr__(self, "pmf", arr)
@@ -103,8 +102,9 @@ def discretize_gaussian(
         lo = math.floor(mu - 4.0 * sigma)
         hi = math.ceil(mu + 4.0 * sigma)
     else:
-        if not all(math.isfinite(float(v)) for v in support):
-            raise ValueError(f"support must be finite, got {list(support)}")
+        if not (np.ndim(support) == 1 and len(support) == 2
+                and all(isinstance(v, numbers.Integral) for v in support)):
+            raise ValueError(f"support must be two integers, got {support!r}")
         lo, hi = int(support[0]), int(support[1])
         if hi < lo:
             raise ValueError(f"empty support [{lo}, {hi}]")

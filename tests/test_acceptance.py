@@ -325,7 +325,7 @@ def test_grid_step_matches_arbitrary_precision_arithmetic():
         ))
         epsilon = float(rng.uniform(0.02, 1.5))
         bound = max(p.weighting.lipschitz_constant for p in game.players)
-        delta, horizon = pg.lipschitz_delta(epsilon, game, bound)
+        delta, horizon = pg.lipschitz_delta(epsilon, game)
         expected_delta, expected_horizon = oracle(game, epsilon, bound)
         assert horizon == expected_horizon
         rel = abs(delta - expected_delta) / expected_delta

@@ -1,5 +1,6 @@
 """Induced stage rewards and exact best responses."""
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -265,3 +266,8 @@ def test_reward_table_validation():
         pg.backward_induction(game, 0, wrong_player, 0, 2)
     with pytest.raises(ValueError, match="needs shape"):
         pg.StageRewardTable(player=0, rewards=rewards.rewards[0])
+    for entry in (np.nan, np.inf, -np.inf):  # any finite reward, negative too
+        bad = -np.ones((2, 2, 2))
+        bad[1, 1, 0] = entry
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value {entry} at (t=2, s=1)")):
+            pg.StageRewardTable(player=0, rewards=bad)

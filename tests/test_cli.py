@@ -348,11 +348,18 @@ def smartgrid_variant(**prosumer0):
          "smartgrid.prosumers[0].storage_cost.values[1]: expected a finite number"),
         ({"smartgrid": {"beta": 0.5, "prosumers": [5]}, "run": {"x": [0], "epsilon": 0.1}},
          "smartgrid.prosumers[0]: expected an object"),
+        (smartgrid_variant(generation={"mu": 0.5, "variance": 1.0, "support": [0, 1.5]}),
+         "smartgrid.prosumers[0].generation: support must be two integers, got [0, 1.5]"),
+        (smartgrid_variant(generation={"mu": 0.5, "variance": 1.0, "support": [0, 1, 7]}),
+         "smartgrid.prosumers[0].generation: support must be two integers, got [0, 1, 7]"),
+        (smartgrid_variant(generation={"support_min": 0, "pmf": [0.5, 0.5 + 5e-10]}),
+         "smartgrid.prosumers[0].generation.pmf: distribution sums to 1.0000000005"),
     ],
     ids=[
         "kernel-nan", "alpha-inf", "pmf-nan", "variance-inf", "support-inf", "knot-nan", "c2-inf",
         "c1-nan", "valuation-overflow", "values-string", "satisfaction-list", "generation-number",
-        "satisfaction-nan", "storage-cost-inf", "prosumer-number",
+        "satisfaction-nan", "storage-cost-inf", "prosumer-number", "support-fractional",
+        "support-three", "pmf-sum",
     ],
 )
 def test_solve_rejects_non_finite_game_inputs(tmp_path, capsys, doc, message):

@@ -311,7 +311,7 @@ def test_smallest_positive_epsilon_gets_a_horizon():
 
 def test_lipschitz_delta_frozen_example():
     game = unit_bound_game(0.5)
-    delta, horizon = pg.lipschitz_delta(0.6, game, 1.0)
+    delta, horizon = pg.lipschitz_delta(0.6, game)
     assert horizon == LIPSCHITZ_EXAMPLE[1]
     assert delta == pytest.approx(LIPSCHITZ_EXAMPLE[0], rel=1e-12)
 
@@ -319,12 +319,12 @@ def test_lipschitz_delta_frozen_example():
 def test_lipschitz_delta_scales_linearly_in_epsilon_at_fixed_horizon():
     game = unit_bound_game(0.5)
     eps = 0.57
-    delta1, h1 = pg.lipschitz_delta(eps, game, 1.0)
-    delta2, h2 = pg.lipschitz_delta(2 * eps, game, 1.0)
+    delta1, h1 = pg.lipschitz_delta(eps, game)
+    delta2, h2 = pg.lipschitz_delta(2 * eps, game)
     assert h1 != h2 or delta2 == pytest.approx(2 * delta1, rel=1e-12)
     # pick a pair that certainly shares the horizon
-    d_lo, h_lo = pg.lipschitz_delta(0.60, game, 1.0)
-    d_hi, h_hi = pg.lipschitz_delta(0.61, game, 1.0)
+    d_lo, h_lo = pg.lipschitz_delta(0.60, game)
+    d_hi, h_hi = pg.lipschitz_delta(0.61, game)
     assert h_lo == h_hi
     assert d_hi / d_lo == pytest.approx(0.61 / 0.60, rel=1e-12)
 
@@ -333,25 +333,27 @@ def test_lipschitz_delta_never_names_an_epsilon_it_was_not_passed():
     # epsilon/2 of 5e-324 is 0.0 as a float; the halved allowance goes
     # through the log-space horizon, and only the step itself is refused
     with pytest.raises(ValueError, match="not representable") as info:
-        pg.lipschitz_delta(5e-324, unit_bound_game(0.5), 1.0)
+        pg.lipschitz_delta(5e-324, unit_bound_game(0.5))
     assert "0.0" not in str(info.value)
 
 
 def test_lipschitz_delta_accepts_power_complement_with_matching_bound():
-    player = pg.PlayerSpec(
-        state_count=2,
-        action_count=2,
-        kernel=pg.TransitionKernel.stationary(np.full((2, 2, 2), 0.5)),
-        weighting=pg.WeightingFunction.power_complement(2.0),
-    )
-    payoff = np.ones((1, 2, 2))
-    game = pg.validate_game(
-        pg.GameSpec(players=(player,), discount_beta=0.5, payoff=payoff)
-    )
-    delta, horizon = pg.lipschitz_delta(0.6, game, 2.0)
+    def game(weighting):
+        player = pg.PlayerSpec(
+            state_count=2,
+            action_count=2,
+            kernel=pg.TransitionKernel.stationary(np.full((2, 2, 2), 0.5)),
+            weighting=weighting,
+        )
+        payoff = np.ones((1, 2, 2))
+        return pg.validate_game(pg.GameSpec(players=(player,), discount_beta=0.5, payoff=payoff))
+
+    delta, horizon = pg.lipschitz_delta(0.6, game(pg.WeightingFunction.power_complement(2.0)))
     assert delta > 0.0 and horizon >= 1
-    with pytest.raises(ValueError):
-        pg.lipschitz_delta(0.6, game, 1.5)  # constant 2 exceeds declared bound
+    # the bound is the game's largest Lipschitz constant, 2 here
+    plain, plain_horizon = pg.lipschitz_delta(0.6, game(pg.WeightingFunction.identity()))
+    assert horizon == plain_horizon
+    assert delta == pytest.approx(plain / 2.0, rel=1e-12)
 
 
 def test_lipschitz_delta_rejects_prelec_and_bad_bounds():
@@ -365,9 +367,6 @@ def test_lipschitz_delta_rejects_prelec_and_bad_bounds():
         pg.GameSpec(players=(player,), discount_beta=0.5, payoff=np.ones((1, 2, 2)))
     )
     with pytest.raises(ValueError, match="not Lipschitz"):
-        pg.lipschitz_delta(0.6, game, 1.0)
-    plain = unit_bound_game(0.5)
+        pg.lipschitz_delta(0.6, game)
     with pytest.raises(ValueError):
-        pg.lipschitz_delta(0.6, plain, 0.5)  # bound below 1
-    with pytest.raises(ValueError):
-        pg.lipschitz_delta(-0.1, plain, 1.0)
+        pg.lipschitz_delta(-0.1, unit_bound_game(0.5))

@@ -376,3 +376,21 @@ def test_writeable_payoff_is_copied_and_read_only_payoff_shared():
     payoff.setflags(write=False)
     shared = pg.validate_game(pg.GameSpec(players=(player,), discount_beta=0.5, payoff=payoff))
     assert shared.payoff_table is payoff
+
+
+@pytest.mark.parametrize("state_counts", [(1,), (1, 1)], ids=["one-player", "length-1-axes"])
+def test_valued_payoffs_never_view_the_callers_payoff(state_counts):
+    # under the identity valuation a reordering that moves only length-1
+    # axes, or none, keeps a view of the table it is given
+    players = tuple(
+        pg.PlayerSpec(state_count=S, action_count=2, kernel=chain([[[1.0], [1.0]]]))
+        for S in state_counts
+    )
+    payoff = np.arange(len(players) * 2 ** len(players), dtype=float).reshape(
+        (len(players), *state_counts, *(2,) * len(players))
+    )
+    game = pg.validate_game(pg.GameSpec(players=players, discount_beta=0.5, payoff=payoff))
+    before = [matrix.copy() for matrix in game.valued_payoffs]
+    payoff[...] = -1.0
+    for matrix, kept in zip(game.valued_payoffs, before):
+        assert np.array_equal(matrix, kept)

@@ -192,7 +192,7 @@ def test_strategy_from_marginals_uniform_on_dead_states():
         (np.nan, "non-finite probability nan at (t=2, s=1)"),
         (np.inf, "non-finite probability inf at (t=2, s=1)"),
         (-0.5, "negative probability -0.5 at (t=2, s=1)"),
-        (0.7, "action distribution sums to 1.2 at (t=2, s=1)"),
+        (0.7, "distribution sums to 1.2 at (t=2, s=1)"),
     ],
 )
 def test_markov_strategy_rejects_malformed_rows(entry, message):
@@ -315,6 +315,22 @@ def test_marginal_table_reports_non_finite_before_negative():
         pg.MarginalTable(player=0, probs=probs)
 
 
+def test_every_table_keeps_a_frozen_float_copy():
+    # nested lists are accepted, and the caller's array is never shared
+    for cls, field in (
+        (pg.MarkovStrategy, "dist"),
+        (pg.MarginalTable, "probs"),
+        (pg.StageRewardTable, "rewards"),
+    ):
+        table = cls(0, [[[0, 1], [1, 0]]])
+        assert (table.horizon, table.state_count, table.action_count) == (1, 2, 2)
+        source = np.array([[[0.5, 0.5]]])
+        stored = getattr(cls(0, source), field)
+        assert stored.dtype == float and not stored.flags.writeable, cls
+        source[0, 0, 0] = 7.0
+        assert stored[0, 0, 0] == 0.5, cls
+
+
 # ------------------------------------------------------------- table rules
 
 # player 0 has (S, A) = (2, 2), player 1 has (3, 2)
@@ -396,7 +412,7 @@ TABLE_RULES = {
     "reward-stages": ("player 1: reward table covers 1 stages, horizon 2 requested", [
         lambda: pg.backward_induction(GAME, 1, reward(1, 1), 0, H),
     ]),
-    "horizon": ("horizon: must be >= 1, got 0", [
+    "horizon": ("horizon: must be an integer >= 1, got 0", [
         lambda: pg.forward_marginals(GAME, strategy(0), 0, 0),
         lambda: pg.certify(GAME, profile(), (0, 0), 0, 0.1),
         lambda: pg.pt_payoff(GAME, tables(), 0),
@@ -406,6 +422,16 @@ TABLE_RULES = {
         lambda: pg.truncation_error_bound(GAME, 0),
         lambda: pg.ProfileGrid(GAME, 0, 2),
         lambda: pg.SearchConfig(epsilon=0.1, horizon=0),
+    ]),
+    "horizon-fractional": ("horizon: must be an integer >= 1, got 2.5", [
+        lambda: pg.forward_marginals(GAME, strategy(0), 0, 2.5),
+        lambda: pg.certify(GAME, profile(), (0, 0), 2.5, 0.1),
+        lambda: pg.pt_payoff(GAME, tables(), 2.5),
+        lambda: pg.induced_stage_rewards(GAME, 0, tables(), 2.5),
+        lambda: pg.backward_induction(GAME, 0, reward(0), 0, 2.5),
+        lambda: pg.truncation_error_bound(GAME, 2.5),
+        lambda: pg.ProfileGrid(GAME, 2.5, 2),
+        lambda: pg.SearchConfig(epsilon=0.1, horizon=2.5),
     ]),
     "start-too-large": ("initial state 3 of player 1 outside 0..2", [
         lambda: pg.forward_marginals(GAME, strategy(1), 3, H),

@@ -10,7 +10,7 @@ import pytest
 
 import ptgames as pg
 from ptgames import cli, criterion, search
-from ptgames.marginals import _distribution_problem
+from ptgames.game import _distribution_problem
 from helpers import (
     compositions,
     enumerate_dm_policies,
@@ -166,6 +166,11 @@ def test_grid_profiles_cap():
         pg.ProfileGrid(game, 2, 2, cap=80)
     grid = pg.ProfileGrid(game, 2, 2, cap=81)
     assert grid.total_profiles == 81
+
+
+def test_profile_grid_requires_an_integer_resolution():
+    with pytest.raises(ValueError, match=r"resolution must be an integer >= 1, got 2\.5"):
+        pg.ProfileGrid(dominant_game(2), 1, 2.5)
 
 
 def test_grid_counts_above_1e15_are_shown_in_scientific_notation():

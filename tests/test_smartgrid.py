@@ -63,6 +63,9 @@ def test_demand_monotonicity():
 def test_generation_distribution_validation():
     with pytest.raises(ValueError, match="sums to"):
         pg.GenerationDistribution(0, np.array([0.5, 0.4]))
+    # as tight as a kernel row's sum
+    with pytest.raises(ValueError, match=r"distribution sums to 1\.0000000005"):
+        pg.GenerationDistribution(0, [0.5, 0.5 + 5e-10])
     with pytest.raises(ValueError, match="negative"):
         pg.GenerationDistribution(0, np.array([1.5, -0.5]))
     gen = pg.GenerationDistribution(-2, np.array([0.25, 0.25, 0.5]))
@@ -120,6 +123,9 @@ def test_gaussian_rejects_bad_arguments():
         pg.discretize_gaussian(0.0, -1.0)
     with pytest.raises(ValueError):
         pg.discretize_gaussian(0.0, 1.0, support=(3, 2))
+    for support in [(0, 1.5), (0, 1, 7), (0,), 5]:
+        with pytest.raises(ValueError, match="support must be two integers"):
+            pg.discretize_gaussian(0.5, 1.0, support=support)
 
 
 # ------------------------------------------------------------------- kernels
