@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -150,65 +149,40 @@ def _valuation_from_config(cfg, path: str) -> ValuationFunction:
     raise ConfigError(f"{path}.kind: unknown valuation kind {kind!r}")
 
 
-def _kernel_from_config(cfg, state_count: int, action_count: int, path: str) -> TransitionKernel:
+def _as_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return value
+
+
+def _kernel_from_config(cfg, path: str) -> TransitionKernel:
     mode = _require(cfg, "mode", path)
     probs = _require(cfg, "probs", path)
+    if mode not in ("stationary", "nonstationary"):
+        raise ConfigError(f"{path}.mode: expected 'stationary' or 'nonstationary', got {mode!r}")
     try:
-        arr = np.array(probs, dtype=float)
+        return getattr(TransitionKernel, mode)(probs)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}.probs: not a numeric table ({exc})") from exc
-    expected = (state_count, action_count, state_count)
-    if mode == "stationary":
-        if arr.shape != expected:
-            raise ConfigError(
-                f"{path}.probs: shape {arr.shape} does not match {expected}"
-            )
-        return TransitionKernel.stationary(arr)
-    if mode == "nonstationary":
-        if arr.ndim != 4 or arr.shape[1:] != expected:
-            raise ConfigError(
-                f"{path}.probs: shape {arr.shape} does not match (stages, "
-                f"{state_count}, {action_count}, {state_count})"
-            )
-        return TransitionKernel.nonstationary(arr)
-    raise ConfigError(f"{path}.mode: expected 'stationary' or 'nonstationary', got {mode!r}")
+        raise ConfigError(f"{path}.probs: {exc}") from exc
 
 
 def _game_from_config(cfg: dict) -> ValidatedGame:
     beta = _as_number(_require(cfg, "beta", "game"), "game.beta")
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"game.beta: discount factor must lie in (0,1), got {beta}")
-    players_cfg = _require(cfg, "players", "game")
-    if not isinstance(players_cfg, list) or not players_cfg:
-        raise ConfigError("game.players: expected a nonempty list")
     players = []
-    for idx, entry in enumerate(players_cfg):
+    for idx, entry in enumerate(_as_list(_require(cfg, "players", "game"), "game.players")):
         path = f"game.players[{idx}]"
-        state_count = _as_int(_require(entry, "state_count", path), f"{path}.state_count")
-        action_count = _as_int(_require(entry, "action_count", path), f"{path}.action_count")
-        if state_count < 1 or action_count < 1:
-            raise ConfigError(f"{path}: state_count and action_count must be >= 1")
-        kernel = _kernel_from_config(
-            _require(entry, "kernel", path), state_count, action_count, f"{path}.kernel"
-        )
         players.append(
             PlayerSpec(
-                state_count=state_count,
-                action_count=action_count,
-                kernel=kernel,
+                state_count=_as_int(_require(entry, "state_count", path), f"{path}.state_count"),
+                action_count=_as_int(_require(entry, "action_count", path), f"{path}.action_count"),
+                kernel=_kernel_from_config(_require(entry, "kernel", path), f"{path}.kernel"),
                 weighting=_weighting_from_config(entry.get("weighting"), f"{path}.weighting"),
                 valuation=_valuation_from_config(entry.get("valuation"), f"{path}.valuation"),
             )
         )
-    payoff_cfg = _require(cfg, "payoff", "game")
+    payoff = _require(cfg, "payoff", "game")
     try:
-        payoff = np.array(payoff_cfg, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"game.payoff: not a numeric table ({exc})") from exc
-    try:
-        return validate_game(
-            GameSpec(players=tuple(players), discount_beta=beta, payoff=payoff)
-        )
+        return validate_game(GameSpec(players=players, discount_beta=beta, payoff=payoff))
     except GameValidationError as exc:
         raise ConfigError("game: " + "; ".join(exc.violations)) from exc
 
@@ -217,8 +191,8 @@ def _generation_from_config(cfg, path: str) -> GenerationDistribution:
     if "pmf" in _as_object(cfg, path):
         start = _as_int(_require(cfg, "support_min", path), f"{path}.support_min")
         try:
-            return GenerationDistribution(start=start, pmf=np.array(cfg["pmf"], dtype=float))
-        except ValueError as exc:
+            return GenerationDistribution(start=start, pmf=cfg["pmf"])
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}.pmf: {exc}") from exc
     mu = _as_number(_require(cfg, "mu", path), f"{path}.mu")
     variance = _as_number(_require(cfg, "variance", path), f"{path}.variance")
@@ -227,16 +201,6 @@ def _generation_from_config(cfg, path: str) -> GenerationDistribution:
         return discretize_gaussian(mu, variance, support=support)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _table_fn(values, path: str, size: int, argname: str):
-    if not isinstance(values, list) or len(values) != size:
-        raise ConfigError(f"{path}: expected {size} values (one per {argname})")
-    arr = [_as_number(v, f"{path}[{k}]") for k, v in enumerate(values)]
-    for k, v in enumerate(arr):
-        if not math.isfinite(v):
-            raise ConfigError(f"{path}[{k}]: expected a finite number, got {v}")
-    return lambda k: arr[k]
 
 
 def _prosumer_from_config(entry: dict, path: str) -> ProsumerSpec:
@@ -256,26 +220,15 @@ def _prosumer_from_config(entry: dict, path: str) -> ProsumerSpec:
     else:
         generation = _generation_from_config(generation_cfg, f"{path}.generation")
     kwargs = {}
-    sat = entry.get("satisfaction")
-    if sat is not None and _as_object(sat, f"{path}.satisfaction").get("kind") != "log1p":
-        if sat.get("kind") != "table":
-            raise ConfigError(f"{path}.satisfaction.kind: expected 'log1p' or 'table'")
-        kwargs["satisfaction"] = _table_fn(
-            _require(sat, "values", f"{path}.satisfaction"),
-            f"{path}.satisfaction.values",
-            consumption_cap + 1,
-            "consumption level",
-        )
-    cost = entry.get("storage_cost")
-    if cost is not None and _as_object(cost, f"{path}.storage_cost").get("kind") != "zero":
-        if cost.get("kind") != "table":
-            raise ConfigError(f"{path}.storage_cost.kind: expected 'zero' or 'table'")
-        kwargs["storage_cost"] = _table_fn(
-            _require(cost, "values", f"{path}.storage_cost"),
-            f"{path}.storage_cost.values",
-            storage_cap + 1,
-            "battery level",
-        )
+    # a preference is its default kind or a table of one value per level
+    for key, default in (("satisfaction", "log1p"), ("storage_cost", "zero")):
+        pref = entry.get(key)
+        if pref is None or _as_object(pref, f"{path}.{key}").get("kind") == default:
+            continue
+        if pref.get("kind") != "table":
+            raise ConfigError(f"{path}.{key}.kind: expected {default!r} or 'table'")
+        values = _as_list(_require(pref, "values", f"{path}.{key}"), f"{path}.{key}.values")
+        kwargs[key] = [_as_number(v, f"{path}.{key}.values[{k}]") for k, v in enumerate(values)]
     kwargs["weighting"] = _weighting_from_config(entry.get("weighting"), f"{path}.weighting")
     kwargs["valuation"] = _valuation_from_config(entry.get("valuation"), f"{path}.valuation")
     try:
@@ -293,13 +246,7 @@ def _prosumer_from_config(entry: dict, path: str) -> ProsumerSpec:
 
 def _smartgrid_from_config(cfg: dict) -> ValidatedGame:
     beta = _as_number(_require(cfg, "beta", "smartgrid"), "smartgrid.beta")
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(
-            f"smartgrid.beta: discount factor must lie in (0,1), got {beta}"
-        )
-    prosumers_cfg = _require(cfg, "prosumers", "smartgrid")
-    if not isinstance(prosumers_cfg, list) or not prosumers_cfg:
-        raise ConfigError("smartgrid.prosumers: expected a nonempty list")
+    prosumers_cfg = _as_list(_require(cfg, "prosumers", "smartgrid"), "smartgrid.prosumers")
     prosumers = [
         _prosumer_from_config(entry, f"smartgrid.prosumers[{idx}]")
         for idx, entry in enumerate(prosumers_cfg)
@@ -354,17 +301,12 @@ def load_config(path) -> RunConfig:
     run = doc.get("run", {})
     if not isinstance(run, dict):
         raise ConfigError("run: expected an object")
-    x_cfg = _require(run, "x", "run")
-    if not isinstance(x_cfg, list) or len(x_cfg) != game.n:
-        raise ConfigError(
-            f"run.x: expected a list of {game.n} initial states (one per player)"
-        )
+    x_cfg = _as_list(_require(run, "x", "run"), "run.x")
     x = tuple(_as_int(v, f"run.x[{k}]") for k, v in enumerate(x_cfg))
-    for k, (v, p) in enumerate(zip(x, game.players)):
-        if not 0 <= v < p.state_count:
-            raise ConfigError(
-                f"run.x[{k}]: state {v} outside 0..{p.state_count - 1}"
-            )
+    try:
+        _check_tables(game, initial_state=x)
+    except ValueError as exc:
+        raise ConfigError(f"run.x: {exc}") from exc
     _require(run, "epsilon", "run")
     # only the keys present are passed on: SearchConfig holds the defaults
     settings = {
@@ -684,7 +626,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy": dict(required=True, help="strategy CSV to propagate"),
         "--out": dict(default="out", help="artifact directory (default: out)"),
         "--epsilon": dict(type=float, help="override run.epsilon"),
-        "--mode": dict(choices=("grid", "sampled"), help="override run.mode"),
+        "--mode": dict(help="override run.mode (grid or sampled)"),
         "--seed": dict(type=int, help="override run.seed"),
     }
     # each subcommand takes only the flags it reads

@@ -153,6 +153,9 @@ class WeightingFunction:
 
     @staticmethod
     def from_table(points: Sequence[Sequence[float]]) -> "WeightingFunction":
+        bad = [p for p in points if np.shape(p) != (2,)]
+        if bad:
+            raise ValueError(f"table weighting point {bad[0]!r} is not a (y, w) pair")
         ys = tuple(float(p[0]) for p in points)
         ws = tuple(float(p[1]) for p in points)
         return WeightingFunction(kind="table", knots_y=ys, knots_w=ws)
@@ -442,8 +445,8 @@ def validate_game(spec: GameSpec) -> ValidatedGame:
     that do not sum to 1 or contain negative or non-finite probabilities,
     kernel shapes that disagree with the declared sizes, a payoff that is not
     a numeric table of the declared shape, non-finite payoff entries,
-    valuations that overflow to non-finite values, empty player lists, and a
-    discount factor outside (0, 1).
+    valuations that overflow to non-finite values, empty player lists, state
+    or action counts below 1, and a discount factor outside (0, 1).
     """
     problems = []
     players = tuple(spec.players)

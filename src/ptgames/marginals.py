@@ -49,16 +49,17 @@ def _check_tables(game, tables=None, horizon=None, initial_state=None, player=No
     table), or a sequence of one table per player, each at its own position.
     ``player`` is the player the call is about: the one table must be
     theirs, and their entry in a sequence is not read (it may be None).
-    ``initial_state`` is the one table's start state, or one per player; a
-    start state is an integer.  ``horizon`` is an integer, at least 1, and
-    every table must cover it.  Only the horizon rule runs when ``game`` is None.
+    ``initial_state`` is the one table's start state, or one per player;
+    start states and player indices are integers.  ``horizon`` is an
+    integer, at least 1, and every table must cover it.  Only the horizon
+    rule runs when ``game`` is None.
     """
     if horizon is not None and not (isinstance(horizon, numbers.Integral) and horizon >= 1):
         raise ValueError(f"horizon: must be an integer >= 1, got {horizon}")
     single = isinstance(tables, _PlayerTable)
     if single and player is None:
         player = tables.player
-    if player is not None and not 0 <= player < game.n:
+    if player is not None and not (isinstance(player, numbers.Integral) and 0 <= player < game.n):
         raise ValueError(f"player index {player} outside 0..{game.n - 1}")
     if single:
         entries = {player: tables}

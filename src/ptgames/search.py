@@ -57,10 +57,14 @@ PASS_SLACK = 1e-12
 # working set whatever the game's width.
 _BLOCK_ELEMENTS = 2**14
 
+# A lattice holds at most this many entries (rows x actions), 128 MiB of
+# floats: a finer lattice is refused before it is allocated.
+_LATTICE_ENTRIES = 2**24
+
 
 class GridTooLargeError(RuntimeError):
     """Exhaustive enumeration of the profile grid would exceed the candidate
-    cap; sampled mode handles such grids."""
+    cap (sampled mode handles such grids), or a lattice is too fine to build."""
 
 
 class EquilibriumNotFoundError(RuntimeError):
@@ -173,9 +177,17 @@ def _lattice(action_count: int, resolution: int) -> np.ndarray:
     Stars and bars: the ``action_count`` - 1 bar positions among
     ``resolution`` + ``action_count`` - 1 slots, in lexicographic order,
     cut the stars into the weak compositions in lexicographic order.
+    A lattice of more than ``_LATTICE_ENTRIES`` entries raises
+    :class:`GridTooLargeError` before anything is allocated.
     """
     slots = resolution + action_count - 1
     rows = math.comb(slots, action_count - 1)
+    if rows * action_count > _LATTICE_ENTRIES:
+        raise GridTooLargeError(
+            f"lattice at step {1.0 / resolution:g} over {action_count} actions holds "
+            f"{_count_text(rows)} rows, above {_LATTICE_ENTRIES} entries; use a coarser "
+            "initial_delta"
+        )
     bars = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(slots), action_count - 1)),
         dtype=np.intp,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -67,6 +67,8 @@ class GenerationDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.start, numbers.Integral):
+            raise ValueError(f"start must be an integer, got {self.start!r}")
         arr = np.array(self.pmf, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("generation pmf must be a nonempty vector")
@@ -123,23 +125,17 @@ def discretize_gaussian(
     return GenerationDistribution(start=lo, pmf=masses / total)
 
 
-def _log_satisfaction(consumption: int) -> float:
-    return math.log1p(consumption)
-
-
-def _no_storage_cost(storage: int) -> float:
-    return 0.0
-
-
 @dataclass(frozen=True)
 class ProsumerSpec:
     """One prosumer: battery size, consumption range, demand cap, reserve
     target, generation law, and preferences.
 
     ``generation`` may be a single distribution (stationary) or one per stage
-    (the last repeats afterwards).  ``satisfaction`` maps consumption to
-    utility (log(1 + l) by default); ``storage_cost`` charges holding a
-    battery level (free by default).
+    (the last repeats afterwards).  ``satisfaction`` holds the utility of
+    each consumption level 0..consumption_cap (log(1 + l) by default) and
+    ``storage_cost`` the cost of holding each battery level 0..storage_cap
+    (free by default); each is stored as a read-only float copy, after the
+    length rule and the rule that every entry is finite.
     """
 
     storage_cap: int
@@ -147,15 +143,18 @@ class ProsumerSpec:
     demand_cap: int
     tau: int
     generation: Union[GenerationDistribution, tuple]
-    satisfaction: Callable[[int], float] = _log_satisfaction
-    storage_cost: Callable[[int], float] = _no_storage_cost
+    satisfaction: Sequence[float] | None = None
+    storage_cost: Sequence[float] | None = None
     weighting: WeightingFunction = WeightingFunction.identity()
     valuation: ValuationFunction = ValuationFunction.identity()
 
     def __post_init__(self):
-        if self.storage_cap < 0 or self.consumption_cap < 0 or self.demand_cap < 0:
-            raise ValueError("storage, consumption and demand caps must be >= 0")
-        if not 0 <= self.tau <= self.storage_cap:
+        caps = (self.storage_cap, self.consumption_cap, self.demand_cap)
+        if not all(isinstance(c, numbers.Integral) and c >= 0 for c in caps):
+            raise ValueError(
+                f"storage, consumption and demand caps must be integers >= 0, got {caps}"
+            )
+        if not (isinstance(self.tau, numbers.Integral) and 0 <= self.tau <= self.storage_cap):
             raise ValueError(
                 f"reserve target {self.tau} outside battery range 0..{self.storage_cap}"
             )
@@ -171,6 +170,27 @@ class ProsumerSpec:
                     "sequence of them"
                 )
             object.__setattr__(self, "generation", gens)
+        log1p = [math.log1p(l) for l in range(self.consumption_count)]
+        self._freeze("satisfaction", "consumption level", log1p)
+        self._freeze("storage_cost", "battery level", [0.0] * self.state_count)
+
+    def _freeze(self, name: str, level: str, default: list) -> None:
+        """Replace the preference table ``name``, one value per ``level`` and
+        ``default`` when None, by a read-only float copy."""
+        values = getattr(self, name)
+        arr = np.array(default if values is None else values, dtype=float)
+        if values is not None:  # the default keeps both rules by construction
+            if arr.shape != (len(default),):
+                raise ValueError(
+                    f"{name}: expected one value per {level} 0..{len(default) - 1}, "
+                    f"got shape {arr.shape}"
+                )
+            problem = _distribution_problem(arr[:, np.newaxis], "finite")
+            if problem is not None:
+                reason, (row,) = problem
+                raise ValueError(f"{name}: {reason} at {level} {row}")
+        arr.setflags(write=False)
+        object.__setattr__(self, name, arr)
 
     @property
     def state_count(self) -> int:
@@ -215,9 +235,9 @@ def prosumer_payoff(
     Other prosumers enter only through their demands."""
     price = fairness_price(demands)[player]
     return (
-        spec.satisfaction(consumption)
+        spec.satisfaction[consumption]
         - float(demands[player]) * float(price)
-        - spec.storage_cost(storage)
+        - spec.storage_cost[storage]
     )
 
 
@@ -285,12 +305,10 @@ def _payoff_table(prosumers, players, induced_demand: bool) -> np.ndarray:
     ]
     table = fairness_price([np.broadcast_to(d, shape) for _, d in decoded])
     for i, (p, (consumption, demand)) in enumerate(zip(prosumers, decoded)):
-        satisfaction = np.array([p.satisfaction(l) for l in range(p.consumption_count)], float)
-        cost = np.array([p.storage_cost(x) for x in range(p.state_count)], float)
         # satisfaction - demand * price - cost, in prosumer_payoff's order
         table[i] *= demand
-        np.subtract(satisfaction[consumption], table[i], out=table[i])
-        table[i] -= cost[storages[i]]
+        np.subtract(p.satisfaction[consumption], table[i], out=table[i])
+        table[i] -= p.storage_cost[storages[i]]
     table.setflags(write=False)
     return table
 
@@ -311,8 +329,6 @@ def build_prosumer_game(
     broadcasting, not entry by entry.
     """
     prosumers = tuple(prosumers)
-    if not prosumers:
-        raise ValueError("need at least one prosumer")
     players = tuple(_player_from_prosumer(p, induced_demand) for p in prosumers)
     payoff = _payoff_table(prosumers, players, induced_demand)
     return validate_game(

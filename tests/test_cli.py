@@ -9,6 +9,7 @@ import pytest
 
 import ptgames as pg
 from ptgames import cli, search
+from ptgames.marginals import _check_tables
 
 BUNDLED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartgrid.json"
 
@@ -85,7 +86,7 @@ def test_load_config_minimal(tmp_path):
 def test_load_config_reports_key_path_for_bad_beta(tmp_path):
     doc = dominant_config()
     doc["game"]["beta"] = 1.2
-    with pytest.raises(cli.ConfigError, match="game.beta"):
+    with pytest.raises(cli.ConfigError, match=r"game: discount factor must lie in \(0,1\), got 1.2"):
         cli.load_config(write_config(tmp_path, doc))
 
 
@@ -112,7 +113,7 @@ def test_load_config_validates_run_section(tmp_path):
         cli.load_config(write_config(tmp_path, doc))
     doc = dominant_config()
     doc["run"]["x"] = [0, 5]
-    with pytest.raises(cli.ConfigError, match=r"run.x\[1\]"):
+    with pytest.raises(cli.ConfigError, match=r"run.x: initial state 5 of player 1 outside 0..0"):
         cli.load_config(write_config(tmp_path, doc))
     doc = dominant_config()
     doc["run"]["epsilon"] = -1.0
@@ -343,9 +344,9 @@ def smartgrid_variant(**prosumer0):
         (smartgrid_variant(generation=5),
          "smartgrid.prosumers[0].generation: expected an object"),
         (smartgrid_variant(satisfaction={"kind": "table", "values": [0.0, math.nan]}),
-         "smartgrid.prosumers[0].satisfaction.values[1]: expected a finite number"),
+         "smartgrid.prosumers[0]: satisfaction: non-finite value nan at consumption level 1"),
         (smartgrid_variant(storage_cost={"kind": "table", "values": [0.0, -math.inf, 0.0]}),
-         "smartgrid.prosumers[0].storage_cost.values[1]: expected a finite number"),
+         "smartgrid.prosumers[0]: storage_cost: non-finite value -inf at battery level 1"),
         ({"smartgrid": {"beta": 0.5, "prosumers": [5]}, "run": {"x": [0], "epsilon": 0.1}},
          "smartgrid.prosumers[0]: expected an object"),
         (smartgrid_variant(generation={"mu": 0.5, "variance": 1.0, "support": [0, 1.5]}),
@@ -354,12 +355,16 @@ def smartgrid_variant(**prosumer0):
          "smartgrid.prosumers[0].generation: support must be two integers, got [0, 1, 7]"),
         (smartgrid_variant(generation={"support_min": 0, "pmf": [0.5, 0.5 + 5e-10]}),
          "smartgrid.prosumers[0].generation.pmf: distribution sums to 1.0000000005"),
+        (smartgrid_variant(generation={"support_min": 0, "pmf": [{}]}),
+         "smartgrid.prosumers[0].generation.pmf: "),
+        (smartgrid_variant(weighting={"kind": "table", "points": [[0, 0], [1]]}),
+         "smartgrid.prosumers[0].weighting: table weighting point [1] is not a (y, w) pair"),
     ],
     ids=[
         "kernel-nan", "alpha-inf", "pmf-nan", "variance-inf", "support-inf", "knot-nan", "c2-inf",
         "c1-nan", "valuation-overflow", "values-string", "satisfaction-list", "generation-number",
         "satisfaction-nan", "storage-cost-inf", "prosumer-number", "support-fractional",
-        "support-three", "pmf-sum",
+        "support-three", "pmf-sum", "pmf-object", "knot-not-pair",
     ],
 )
 def test_solve_rejects_non_finite_game_inputs(tmp_path, capsys, doc, message):
@@ -368,6 +373,119 @@ def test_solve_rejects_non_finite_game_inputs(tmp_path, capsys, doc, message):
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert "Traceback" not in err
+
+
+STAY = pg.TransitionKernel.stationary(STAY_KERNEL["probs"])
+TWO_STATES = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]]
+
+
+def player(state_count=1, kernel=STAY):
+    return pg.PlayerSpec(state_count=state_count, action_count=2, kernel=kernel)
+
+
+def dominant_spec(**changes):
+    """The game of ``dominant_config``, described through the library."""
+    spec = dict(
+        players=[player(), player()],
+        discount_beta=dominant_config()["game"]["beta"],
+        payoff=dominant_config()["game"]["payoff"],
+    )
+    spec.update(changes)
+    return pg.GameSpec(**spec)
+
+
+DOMINANT = pg.validate_game(dominant_spec())
+
+
+def dominant_variant(player0=None, **game):
+    """``dominant_config`` with keys of its game section, or of its first
+    player, replaced."""
+    doc = dominant_config()
+    doc["game"].update(game)
+    if player0 is not None:
+        doc["game"]["players"][0] = {**doc["game"]["players"][0], **player0}
+    return doc
+
+
+def smartgrid_section(**changes):
+    doc = json.loads(BUNDLED_CONFIG.read_text())
+    doc["smartgrid"].update(changes)
+    return doc
+
+
+def bundled_prosumer(**changes):
+    """The first prosumer of the bundled config, described through the library."""
+    return pg.ProsumerSpec(
+        storage_cap=2, consumption_cap=1, demand_cap=2, tau=1,
+        generation=pg.discretize_gaussian(0.5, 2.0), **changes,
+    )
+
+
+def library_message(call) -> str:
+    """The message of ``call``; a game's violations joined as the CLI joins them."""
+    with pytest.raises(ValueError) as info:
+        call()
+    exc = info.value
+    return "; ".join(exc.violations) if isinstance(exc, pg.GameValidationError) else str(exc)
+
+
+# each rule on a game or run, a config (and flags) that breaks it, the
+# section or key path the CLI puts in front, and the library call that owns
+# the rule
+GAME_RULES = {
+    "game-beta": (dominant_variant(beta=1.2), (), "game: ",
+                  lambda: pg.validate_game(dominant_spec(discount_beta=1.2))),
+    "smartgrid-beta": (smartgrid_section(beta=1.2), (), "smartgrid: ",
+                       lambda: pg.build_prosumer_game([bundled_prosumer()], 1.2)),
+    "players-empty": (dominant_variant(players=[]), (), "game: ",
+                      lambda: pg.validate_game(dominant_spec(players=[]))),
+    "prosumers-empty": (smartgrid_section(prosumers=[]), (), "smartgrid: ",
+                        lambda: pg.build_prosumer_game([], 0.001)),
+    "state-count": (dominant_variant({"state_count": 0}), (), "game: ",
+                    lambda: pg.validate_game(dominant_spec(players=[player(0), player()]))),
+    "stationary-4d": (dominant_variant({"kernel": {"mode": "stationary", "probs": [[[[1.0], [1.0]]]]}}),
+                      (), "game.players[0].kernel.probs: ",
+                      lambda: pg.TransitionKernel.stationary([[[[1.0], [1.0]]]])),
+    "nonstationary-3d": (dominant_variant({"kernel": {"mode": "nonstationary", "probs": [[[1.0], [1.0]]]}}),
+                         (), "game.players[0].kernel.probs: ",
+                         lambda: pg.TransitionKernel.nonstationary([[[1.0], [1.0]]])),
+    "kernel-ragged": (dominant_variant({"kernel": {"mode": "stationary", "probs": [[[1.0], [1.0, 0.0]]]}}),
+                      (), "game.players[0].kernel.probs: ",
+                      lambda: pg.TransitionKernel.stationary([[[1.0], [1.0, 0.0]]])),
+    "kernel-states": (dominant_variant({"kernel": {"mode": "stationary", "probs": TWO_STATES}}),
+                      (), "game: ",
+                      lambda: pg.validate_game(dominant_spec(
+                          players=[player(kernel=pg.TransitionKernel.stationary(TWO_STATES)), player()]
+                      ))),
+    "payoff-ragged": (dominant_variant(payoff=[[1.0], [1.0, 2.0]]), (), "game: ",
+                      lambda: pg.validate_game(dominant_spec(payoff=[[1.0], [1.0, 2.0]]))),
+    "x-length": (dominant_config(x=[0]), (), "run.x: ",
+                 lambda: _check_tables(DOMINANT, initial_state=(0,))),
+    "x-range": (dominant_config(x=[0, 5]), (), "run.x: ",
+                lambda: _check_tables(DOMINANT, initial_state=(0, 5))),
+    "mode-flag": (dominant_config(), ("--mode", "exhaustive"), "--",
+                  lambda: pg.SearchConfig(epsilon=0.1, mode="exhaustive")),
+    "satisfaction-length": (smartgrid_variant(satisfaction={"kind": "table", "values": [0.0]}),
+                            (), "smartgrid.prosumers[0]: ",
+                            lambda: bundled_prosumer(satisfaction=[0.0])),
+    "satisfaction-nan": (smartgrid_variant(satisfaction={"kind": "table", "values": [0.0, math.nan]}),
+                         (), "smartgrid.prosumers[0]: ",
+                         lambda: bundled_prosumer(satisfaction=[0.0, math.nan])),
+    "storage-cost-length": (smartgrid_variant(storage_cost={"kind": "table", "values": [0.0, 0.0]}),
+                            (), "smartgrid.prosumers[0]: ",
+                            lambda: bundled_prosumer(storage_cost=[0.0, 0.0])),
+    "storage-cost-nan": (smartgrid_variant(storage_cost={"kind": "table", "values": [0.0, math.nan, 0.0]}),
+                         (), "smartgrid.prosumers[0]: ",
+                         lambda: bundled_prosumer(storage_cost=[0.0, math.nan, 0.0])),
+}
+
+
+@pytest.mark.parametrize("rule", list(GAME_RULES))
+def test_each_game_rule_is_reported_from_its_library_home(tmp_path, capsys, rule):
+    doc, flags, prefix, owner = GAME_RULES[rule]
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("solve", "--config", cfg, "--out", tmp_path / "out", *flags) == 2
+    assert capsys.readouterr().err == f"config error: {prefix}{library_message(owner)}\n"
 
 
 @pytest.mark.parametrize("flag, doc_seed, where", [("-1", 0, "--seed"), (None, -1, "run.seed")])
@@ -532,6 +650,19 @@ def test_solve_refused_grid_leaves_no_artifact_directory(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("solve", "--config", write_config(tmp_path, doc), "--out", out) == 2
     assert "use sampled mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_refuses_a_lattice_too_fine_to_build(tmp_path, capsys):
+    # step 1e-12 over two actions is a lattice of 10**12 rows: refused
+    # before it is allocated, and as no level was searched, exit 2
+    doc = json.loads(BUNDLED_CONFIG.read_text())
+    doc["run"].update(mode="sampled", initial_delta=1e-12, max_candidates=10, refinement_cap=0)
+    out = tmp_path / "out"
+    assert run_cli("solve", "--config", write_config(tmp_path, doc), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "solve: lattice at step 1e-12 over 2 actions holds" in err
+    assert "use a coarser initial_delta" in err
     assert not out.exists()
 
 

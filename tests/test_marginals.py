@@ -389,6 +389,12 @@ TABLE_RULES = {
         lambda: pg.induced_stage_rewards(GAME, 2, tables(), H),
         lambda: pg.backward_induction(GAME, 2, reward(2, sizes=(3, 2)), 0),
     ]),
+    "player-fractional": ("player index 0.5 outside 0..1", [
+        lambda: pg.forward_marginals(GAME, strategy(0.5, sizes=(2, 2)), 0, H),
+        lambda: pg.check_flow_constraints(GAME, marginal(0.5, sizes=(2, 2)), 0),
+        lambda: pg.induced_stage_rewards(GAME, 0.5, tables(), H),
+        lambda: pg.backward_induction(GAME, 0.5, reward(0.5, sizes=(2, 2)), 0),
+    ]),
     "strategy-sizes": ("player 1: strategy has sizes (2, 2), game declares (3, 2)", [
         lambda: pg.forward_marginals(GAME, strategy(1, sizes=(2, 2)), 0, H),
         lambda: pg.certify(GAME, profile(strategy(0), strategy(1, sizes=(2, 2))), (0, 0), H, 0.1),

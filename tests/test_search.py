@@ -226,6 +226,29 @@ def test_grid_refinement_stops_before_a_level_above_the_cap(monkeypatch):
     assert built == [2, 4]
 
 
+def test_lattice_too_fine_to_build_is_refused_before_allocation():
+    # 10**12 rows of two floats would take 16 TB
+    refused = (r"lattice at step 1e-12 over 2 actions holds 1000000000001 rows, above 16777216 "
+               r"entries; use a coarser initial_delta")
+    with pytest.raises(pg.GridTooLargeError, match=refused):
+        search._lattice(2, 10**12)
+    assert search._lattice(2, 10**6).shape == (10**6 + 1, 2)  # step 1e-6 still builds
+
+
+def test_sampled_refinement_stops_before_a_lattice_too_fine_to_build(monkeypatch):
+    # resolutions 2, 4 and 8 give lattices of 6, 10 and 18 entries over two
+    # actions; the third level is refused and the best certificate kept
+    monkeypatch.setattr(search, "_LATTICE_ENTRIES", 10)
+    config = pg.SearchConfig(
+        epsilon=0.01, horizon=1, mode="sampled", initial_delta=0.9, refinement_cap=2
+    )
+    stopped = r"refinement stopped: lattice at step 0\.125 over 2 actions holds 9 rows, above 10"
+    with pytest.raises(pg.EquilibriumNotFoundError, match=stopped) as info:
+        pg.search_equilibrium(pennies_game(), (0, 0), config)
+    assert info.value.levels == 2
+    assert info.value.best_certificate.final_delta == 0.25
+
+
 def test_refinement_doubles_the_resolution_exactly(monkeypatch):
     # 1/12845056 rounds back to 12845056; a float step halved and rounded up
     # again would refine it to 25690113, off the coarser lattice.  The

@@ -68,6 +68,8 @@ def test_generation_distribution_validation():
         pg.GenerationDistribution(0, [0.5, 0.5 + 5e-10])
     with pytest.raises(ValueError, match="negative"):
         pg.GenerationDistribution(0, np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match=r"start must be an integer, got 1\.5"):
+        pg.GenerationDistribution(start=1.5, pmf=[1.0])
     gen = pg.GenerationDistribution(-2, np.array([0.25, 0.25, 0.5]))
     assert list(gen.support) == [-2, -1, 0]
 
@@ -240,7 +242,7 @@ def test_prosumer_payoff_examples():
 
 
 def test_storage_cost_enters_payoff():
-    spec = simple_prosumer(storage_cost=lambda x: 0.1 * x)
+    spec = simple_prosumer(storage_cost=[0.0, 0.1, 0.2])
     base = pg.prosumer_payoff(spec, 0, 1, [0, 0], 0)
     assert pg.prosumer_payoff(spec, 2, 1, [0, 0], 0) == pytest.approx(base - 0.2)
 
@@ -248,6 +250,12 @@ def test_storage_cost_enters_payoff():
 def test_prosumer_spec_validation():
     with pytest.raises(ValueError, match="reserve target"):
         simple_prosumer(tau=3)
+    with pytest.raises(ValueError, match=r"reserve target 0\.5 outside battery range 0\.\.2"):
+        simple_prosumer(tau=0.5)
+    with pytest.raises(ValueError, match=r"caps must be integers >= 0, got \(1\.5, 1, 1\)"):
+        pg.ProsumerSpec(
+            storage_cap=1.5, consumption_cap=1, demand_cap=1, tau=0, generation=point_mass(0),
+        )
     with pytest.raises(ValueError):
         pg.ProsumerSpec(
             storage_cap=-1, consumption_cap=1, demand_cap=1, tau=0,
@@ -257,6 +265,44 @@ def test_prosumer_spec_validation():
         pg.ProsumerSpec(
             storage_cap=1, consumption_cap=1, demand_cap=1, tau=0, generation=(),
         )
+
+
+def test_prosumer_preferences_are_frozen_float_tables():
+    satisfaction = np.array([0, 2])  # integers are stored as floats
+    cost = [0.0, 0.5, 1.0]
+    spec = simple_prosumer(satisfaction=satisfaction, storage_cost=cost)
+    satisfaction[1] = 7
+    cost[1] = 7.0
+    for table, expected in ((spec.satisfaction, [0.0, 2.0]), (spec.storage_cost, [0.0, 0.5, 1.0])):
+        assert table.dtype == np.float64
+        assert not table.flags.writeable
+        assert np.array_equal(table, expected)
+
+
+def test_prosumer_preference_defaults_are_log1p_and_zero():
+    spec = pg.ProsumerSpec(
+        storage_cap=3, consumption_cap=4, demand_cap=2, tau=1, generation=point_mass(0)
+    )
+    assert spec.satisfaction.tobytes() == np.array([math.log1p(l) for l in range(5)]).tobytes()
+    assert spec.storage_cost.tobytes() == np.zeros(4).tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, values, message",
+    [
+        ("satisfaction", [0.0], "satisfaction: expected one value per consumption level 0..1, got shape (1,)"),
+        ("satisfaction", [0.0, math.nan], "satisfaction: non-finite value nan at consumption level 1"),
+        ("storage_cost", [0.0] * 4, "storage_cost: expected one value per battery level 0..2, got shape (4,)"),
+        ("storage_cost", [[0.0, 0.0, 0.0]], "storage_cost: expected one value per battery level 0..2, got shape (1, 3)"),
+        ("storage_cost", [0.0, 0.0, -math.inf], "storage_cost: non-finite value -inf at battery level 2"),
+    ],
+    ids=["satisfaction-short", "satisfaction-nan", "cost-long", "cost-2d", "cost-inf"],
+)
+def test_prosumer_spec_refuses_malformed_preference_tables(field, values, message):
+    # a short table used to pass and fail later, in the payoff build
+    with pytest.raises(ValueError) as info:
+        simple_prosumer(**{field: values})
+    assert str(info.value) == message
 
 
 # ------------------------------------------------------------ assembled games
@@ -315,10 +361,7 @@ def test_broadcast_payoff_matches_per_entry_reference(n, induced_demand):
         if k % 2:  # custom tables on every other prosumer
             satisfaction = rng.normal(size=consumption_cap + 1)
             cost = rng.uniform(0.0, 0.5, size=storage_cap + 1)
-            extra = dict(
-                satisfaction=lambda l, t=satisfaction: t[l],
-                storage_cost=lambda x, t=cost: t[x],
-            )
+            extra = dict(satisfaction=satisfaction, storage_cost=cost)
         generation = (pg.discretize_gaussian(0.5, 1.0), point_mass(k % 2))
         specs.append(pg.ProsumerSpec(
             storage_cap=storage_cap,
@@ -369,5 +412,5 @@ def test_simulation_game_preferences():
 
 
 def test_build_rejects_empty_prosumer_list():
-    with pytest.raises(ValueError):
+    with pytest.raises(pg.GameValidationError, match="at least one player is required"):
         pg.build_prosumer_game([], 0.5)
