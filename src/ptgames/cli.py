@@ -265,7 +265,6 @@ def _smartgrid_from_config(cfg: dict) -> ValidatedGame:
 _RUN_SETTINGS = {
     "epsilon": _as_number,
     "initial_delta": _as_number,
-    "mode": lambda value, path: value,
     "max_candidates": _as_int,
     "seed": _as_int,
     "horizon": lambda value, path: None if value is None else _as_int(value, path),
@@ -368,20 +367,18 @@ def read_probability_csv(path):
     tables = {}
     for player in sorted({k[0] for k in cells}):
         own = {k[1:]: v for k, v in cells.items() if k[0] == player}
-        m = max(k[0] for k in own) + 1
-        S = max(k[1] for k in own) + 1
-        A = max(k[2] for k in own) + 1
-        probs = np.empty((m, S, A))
-        for t in range(m):
-            for s in range(S):
-                for a in range(A):
-                    if (t, s, a) not in own:
-                        raise ConfigError(
-                            f"{path}: missing row for player {player}, stage "
-                            f"{t + 1}, state {s}, action {a}"
-                        )
-                    probs[t, s, a] = own[(t, s, a)]
-        tables[player] = probs
+        m, S, A = (max(k[axis] for k in own) + 1 for axis in range(3))
+        # in order and lazily: a product of ranges would build them whole
+        order = ((t, s, a) for t in range(m) for s in range(S) for a in range(A))
+        # the cells are distinct and inside the shape, so they cover it
+        # exactly when they are as many; else the scan meets the first
+        # missing one within len(own) + 1 steps
+        if len(own) != m * S * A:
+            t, s, a = next(key for key in order if key not in own)
+            raise ConfigError(
+                f"{path}: missing row for player {player}, stage {t + 1}, state {s}, action {a}"
+            )
+        tables[player] = np.array([own[key] for key in order]).reshape(m, S, A)
     return tables
 
 
@@ -435,8 +432,8 @@ def write_certificate(path, cert, mode: str) -> None:
     Path(path).write_text("\n".join(_certificate_lines(cert, mode)) + "\n")
 
 
-def _write_solve_artifacts(outdir: Path, cert, mode: str) -> None:
-    write_certificate(outdir / "certificate.txt", cert, mode)
+def _write_solve_artifacts(outdir: Path, cert) -> None:
+    write_certificate(outdir / "certificate.txt", cert, cert.mode)
     for strategy in cert.profile:
         write_probability_csv(
             outdir / f"strategy_player{strategy.player}.csv",
@@ -448,9 +445,9 @@ def _write_solve_artifacts(outdir: Path, cert, mode: str) -> None:
     )
 
 
-def _write_run_log(outdir: Path, mode, cert, status, wall_time) -> None:
+def _write_run_log(outdir: Path, cert, status, wall_time) -> None:
     lines = [
-        f"mode: {mode}",
+        f"mode: {cert.mode}",
         f"status: {'passed' if status == 0 else 'not-found'}",
         f"candidates_examined: {cert.candidates_examined}",
         f"final_delta: {_fmt(cert.final_delta)}",
@@ -472,7 +469,7 @@ def _outdir(args) -> Path:
 
 def _search_settings(cfg: RunConfig, args) -> SearchConfig:
     """The run section's search settings with the command-line overrides."""
-    flags = {k: getattr(args, k, None) for k in ("epsilon", "mode", "seed")}
+    flags = {k: getattr(args, k, None) for k in ("epsilon", "seed")}
     try:
         return replace(cfg.search, **{k: v for k, v in flags.items() if v is not None})
     except ValueError as exc:
@@ -495,13 +492,13 @@ def _cmd_solve(args) -> int:
         return 2
     wall = time.perf_counter() - started
     outdir = _outdir(args)
-    _write_solve_artifacts(outdir, cert, search.mode)
+    _write_solve_artifacts(outdir, cert)
     print(
         f"solve: {'passed' if status == 0 else 'best candidate only'}; "
         f"worst gap {np.max(cert.gaps):.6g} (allowance {search.epsilon / 3.0:.6g}); "
         f"artifacts in {outdir}"
     )
-    _write_run_log(outdir, search.mode, cert, status, wall)
+    _write_run_log(outdir, cert, status, wall)
     return status
 
 
@@ -626,12 +623,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy": dict(required=True, help="strategy CSV to propagate"),
         "--out": dict(default="out", help="artifact directory (default: out)"),
         "--epsilon": dict(type=float, help="override run.epsilon"),
-        "--mode": dict(help="override run.mode (grid or sampled)"),
         "--seed": dict(type=int, help="override run.seed"),
     }
     # each subcommand takes only the flags it reads
     for name, handler, names, help_text in (
-        ("solve", _cmd_solve, ("--out", "--epsilon", "--mode", "--seed"),
+        ("solve", _cmd_solve, ("--out", "--epsilon", "--seed"),
          "search for a certified profile"),
         ("certify", _cmd_certify, ("--profile", "--out", "--epsilon"),
          "re-certify a profile from strategy CSV"),

@@ -5,14 +5,14 @@ is within epsilon/3 of that player's exact best-response value against the
 others; by the truncation bounds this makes the profile an epsilon-
 equilibrium of the infinite-horizon game.  The candidate set is the grid of
 profiles whose per-(stage, state) action distributions have coordinates on a
-uniform simplex lattice.  ``search_equilibrium`` either scans the grid
-exhaustively in a fixed order (grid mode) or draws candidates uniformly
-without replacement from it (sampled mode, the only option when the grid is
-too large or no Lipschitz step is available), and doubles the lattice's
-integer resolution (halving its step) when a level is exhausted, up to a
-refinement cap.  Grid mode certifies only the profiles that are 0 in every
-dead cell, a (player, stage, state) that the player's chain cannot reach:
-the others repeat an earlier profile's certificate.  It still counts them.
+uniform simplex lattice.  ``search_equilibrium`` scans one lattice level at
+a time and picks each level's candidates from its size: a level that fits
+the ``max_candidates`` budget is enumerated in a fixed order, a larger one
+is sampled uniformly without replacement.  An exhausted level doubles the
+lattice's integer resolution (halving its step), up to a refinement cap.
+Enumeration certifies only the profiles that are 0 in every dead cell, a
+(player, stage, state) that the player's chain cannot reach: the others
+repeat an earlier profile's certificate.  It still counts them.
 
 There is one certification pass, ``_evaluate``: stage marginals, then per
 player stage terms and backward induction, for a block of profiles at once.
@@ -63,8 +63,7 @@ _LATTICE_ENTRIES = 2**24
 
 
 class GridTooLargeError(RuntimeError):
-    """Exhaustive enumeration of the profile grid would exceed the candidate
-    cap (sampled mode handles such grids), or a lattice is too fine to build."""
+    """A lattice is too fine to build."""
 
 
 class EquilibriumNotFoundError(RuntimeError):
@@ -88,19 +87,18 @@ class EquilibriumNotFoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the search, in both modes.
+    """Knobs of the search.
 
     ``horizon`` overrides the truncation horizon computed from ``epsilon``
-    when set (see :meth:`resolve_horizon`).  ``max_candidates`` caps the grid
-    size in grid mode and the number of draws per level in sampled mode;
-    ``refinement_cap`` bounds how often the lattice step is halved after
-    exhausting a level; ``seed`` seeds the sampled mode's generator.  Every
-    range check on these settings lives here.
+    when set (see :meth:`resolve_horizon`).  ``max_candidates`` is the most
+    candidates any level examines: a level with at most that many profiles
+    is enumerated, a larger one sampled.  ``refinement_cap`` bounds how
+    often the lattice step is halved after exhausting a level; ``seed``
+    seeds the sampler.  Every range check on these settings lives here.
     """
 
     epsilon: float
     initial_delta: float = 0.5
-    mode: str = "grid"
     max_candidates: int = 100_000
     seed: int = 0
     horizon: int | None = None
@@ -111,14 +109,11 @@ class SearchConfig:
         _check_epsilon(self.epsilon)
         if not 0.0 < self.initial_delta < 1.0:
             raise ValueError(f"initial_delta: must lie in (0,1), got {self.initial_delta}")
-        if self.mode not in ("grid", "sampled"):
-            raise ValueError(f"mode: expected 'grid' or 'sampled', got {self.mode!r}")
-        if self.max_candidates < 1:
-            raise ValueError(f"max_candidates: must be positive, got {self.max_candidates}")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be >= 0, got {self.seed}")
-        if self.refinement_cap < 0:
-            raise ValueError(f"refinement_cap: must be >= 0, got {self.refinement_cap}")
+        _resolution(self.initial_delta, "initial_delta")
+        for name, low in (("max_candidates", 1), ("seed", 0), ("refinement_cap", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name}: must be an integer >= {low}, got {value}")
         _check_tables(None, horizon=self.horizon)
 
     def resolve_horizon(self, game: ValidatedGame) -> int:
@@ -136,7 +131,9 @@ class EquilibriumCertificate:
     ``best_values[i]`` the exact best-response value against the others, and
     ``gaps[i]`` their difference (nonnegative up to numerics).  ``passed``
     holds exactly when the largest gap is at most epsilon/3 plus slack.
-    ``candidates_examined``/``final_delta`` are filled in by the search.
+    ``candidates_examined``, ``final_delta`` and ``mode`` (how the final
+    level was scanned: ``"grid"`` or ``"sampled"``) are filled in by the
+    search.
     """
 
     profile: tuple
@@ -148,6 +145,7 @@ class EquilibriumCertificate:
     passed: bool
     candidates_examined: int = 1
     final_delta: float | None = None
+    mode: str | None = None
 
 
 def simplex_grid(action_count: int, delta: float) -> np.ndarray:
@@ -165,9 +163,14 @@ def simplex_grid(action_count: int, delta: float) -> np.ndarray:
     return _lattice(action_count, _resolution(delta))
 
 
-def _resolution(delta: float) -> int:
-    """Lattice resolution of a grid step: 1/``delta`` rounded up."""
-    return max(1, math.ceil(1.0 / delta - 1e-9))
+def _resolution(delta: float, name: str = "grid step") -> int:
+    """Lattice resolution of a grid step: 1/``delta`` rounded up.  A step so
+    small that its reciprocal overflows has none; the message starts with
+    ``name``."""
+    inverse = 1.0 / delta
+    if not math.isfinite(inverse):
+        raise ValueError(f"{name}: must have a finite reciprocal, got {delta}")
+    return max(1, math.ceil(inverse - 1e-9))
 
 
 def _lattice(action_count: int, resolution: int) -> np.ndarray:
@@ -206,12 +209,10 @@ class ProfileGrid:
     one lattice distribution per cell, and enumeration is lexicographic over
     the per-cell indices with the last cell varying fastest.  That makes "the
     first passing profile" well defined and bit-reproducible, and doubling
-    the resolution always produces a superset of the previous lattice.  A
-    grid of more than ``cap`` profiles raises :class:`GridTooLargeError`
-    before any lattice is built.
+    the resolution always produces a superset of the previous lattice.
     """
 
-    def __init__(self, game: ValidatedGame, horizon: int, resolution: int, cap: int | None = None):
+    def __init__(self, game: ValidatedGame, horizon: int, resolution: int):
         _check_tables(game, horizon=horizon)
         if not (isinstance(resolution, numbers.Integral) and resolution >= 1):
             raise ValueError(f"resolution must be an integer >= 1, got {resolution}")
@@ -226,11 +227,6 @@ class ProfileGrid:
             for _ in range(horizon * p.state_count)
         ]
         self.total_profiles = math.prod(self.cell_sizes)
-        if cap is not None and self.total_profiles > cap:
-            raise GridTooLargeError(
-                f"profile grid at step {self.delta:g} holds {_count_text(self.total_profiles)} "
-                f"candidates, above the cap {cap}; use sampled mode"
-            )
         # stars-and-bars rows are distributions by construction, so the
         # batched pass reads them unchecked
         counts = {p.action_count for p in game.players}
@@ -262,11 +258,6 @@ def _count_text(count: int) -> str:
     from decimal import Decimal  # imported on this error path only
 
     return f"{Decimal(count):.6e}"
-
-
-def _unravel(flat: np.ndarray, grid: ProfileGrid) -> np.ndarray:
-    """Per-cell index rows of the profiles at enumeration positions ``flat``."""
-    return np.stack(np.unravel_index(flat, grid.cell_sizes), axis=1)
 
 
 def _live_cells(game: ValidatedGame, x: tuple, horizon: int) -> np.ndarray:
@@ -303,23 +294,17 @@ def _position(indices: np.ndarray, grid: ProfileGrid) -> int:
 
 def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, rows: int):
     """Distinct per-cell index rows drawn uniformly from ``grid``, at most
-    ``rows`` at a time: at most ``limit`` in all, fewer when the grid is
-    exhausted first.
+    ``rows`` at a time: at most ``limit`` in all.
 
-    Grids of at most ``limit`` profiles are shuffled whole; larger ones use
-    rejection against a visited set (uniform per-cell draws are uniform over
-    the product), at most 20 * ``limit`` attempts.  A block of ``m`` rows
+    Draws are rejected against a visited set (uniform per-cell draws are
+    uniform over the product), at most 20 * ``limit`` attempts, so fewer
+    rows come out when collisions pile up.  A block of ``m`` rows
     comes from one ``rng.integers`` call of size (m, cells), which yields the
     same numbers as ``m`` single draws; ``m`` never exceeds the draws the
     budget or the attempt cap has left, so the generator stops where
     per-draw sampling stops.  The sequence is thus the same for every
     ``rows``.
     """
-    if grid.total_profiles <= limit:
-        order = rng.permutation(grid.total_profiles)
-        for start in range(0, len(order), rows):
-            yield _unravel(order[start : start + rows], grid)
-        return
     cells = len(grid.cell_sizes)
     largest = max(grid.cell_sizes)
     # equal cells take a scalar bound, which draws the same stream as the
@@ -440,46 +425,44 @@ def search_equilibrium(
 ) -> EquilibriumCertificate:
     """Return the first lattice profile that passes certification.
 
-    ``config.mode`` picks each level's candidates: ``"grid"`` scans every
-    profile in enumeration order (certifying those with index 0 in every
-    dead cell, and counting the full grid) and raises
-    :class:`GridTooLargeError` when the first level holds more than
-    ``max_candidates``; ``"sampled"`` draws up to ``max_candidates``
-    distinct profiles uniformly from a generator seeded with ``seed``, so
-    it is deterministic too.  Candidates are certified in blocks by
-    ``_evaluate``, and the first passing row's certificate is built from its
-    own values.  ``initial_delta`` is rounded to a resolution once;
-    an exhausted level doubles it, up to ``refinement_cap`` times (in grid
-    mode, stopping before a level above the cap); then
-    :class:`EquilibriumNotFoundError` carries the certificate of the first
-    candidate with the smallest worst gap.
+    Each level's size picks its candidates: a level of at most
+    ``max_candidates`` profiles is scanned in enumeration order (certifying
+    those with index 0 in every dead cell, and counting the full grid); a
+    larger one yields up to ``max_candidates`` distinct profiles drawn
+    uniformly from a generator seeded with ``seed``, so it is deterministic
+    too.  Candidates are certified in blocks by ``_evaluate``, and the first
+    passing row's certificate is built from its own values.
+    ``initial_delta`` is rounded to a resolution once; an exhausted level
+    doubles it, up to ``refinement_cap`` times (stopping before a lattice
+    too fine to build); then :class:`EquilibriumNotFoundError` carries the
+    certificate of the first candidate with the smallest worst gap.
     """
     x = tuple(initial_state)
     _check_tables(game, initial_state=x)
     horizon = config.resolve_horizon(game)
     widest = max(game.opponent_pair_count(i) for i in range(game.n))
     rows = max(1, _BLOCK_ELEMENTS // widest)
-    grid_mode = config.mode == "grid"
-    cap = config.max_candidates if grid_mode else None
     resolution = _resolution(config.initial_delta)
     rng = np.random.default_rng(config.seed)
-    live = _live_cells(game, x, horizon) if grid_mode else None
+    live = _live_cells(game, x, horizon)
     examined = levels = 0
     stop = None
     best = None  # (worst gap, grid, index row, values, best-response values)
     for level in range(config.refinement_cap + 1):
         try:
-            grid = ProfileGrid(game, horizon, resolution << level, cap)
+            grid = ProfileGrid(game, horizon, resolution << level)
         except GridTooLargeError as exc:
             if level == 0:
                 raise
             stop = str(exc)
             break
         levels = level + 1
-        if grid_mode:
+        enumerated = grid.total_profiles <= config.max_candidates
+        if enumerated:
             blocks = _grid_blocks(grid, live, rows)
         else:
             blocks = _sampled_blocks(grid, rng, config.max_candidates, rows)
+        mode = "grid" if enumerated else "sampled"
         for block in blocks:
             # a row with a gap of at least the best worst gap so far can
             # neither pass (that gap failed) nor replace it (strict <), so
@@ -490,23 +473,24 @@ def search_equilibrium(
             passing = np.flatnonzero(_passes(worst, config.epsilon))
             if len(passing):
                 r = int(passing[0])
-                # grid mode counts every profile up to the winner, skipped
-                # ones included
-                before = _position(block[r], grid) if grid_mode else r
+                # an enumerated level counts every profile up to the winner,
+                # skipped ones included
+                before = _position(block[r], grid) if enumerated else r
                 return _certificate(
                     grid.profile_at(block[r]), values[r], best_values[r], config.epsilon,
                     horizon, candidates_examined=examined + before + 1, final_delta=grid.delta,
+                    mode=mode,
                 )
             r = int(np.argmin(worst))
             if best is None or worst[r] < best[0]:
                 best = (worst[r], grid, block[r], values[r], best_values[r])
-            if not grid_mode:
+            if not enumerated:
                 examined += len(block)
-        if grid_mode:
+        if enumerated:
             examined += grid.total_profiles
     _, where, indices, values, best_values = best
     cert = _certificate(
         where.profile_at(indices), values, best_values, config.epsilon, horizon,
-        candidates_examined=examined, final_delta=grid.delta,
+        candidates_examined=examined, final_delta=grid.delta, mode=mode,
     )
     raise EquilibriumNotFoundError(cert, levels, stop)

@@ -229,7 +229,7 @@ def full_grid_blocks(grid, live, rows):
     skipped, with the same signature as ``search._grid_blocks``."""
     for start in range(0, grid.total_profiles, rows):
         stop = min(start + rows, grid.total_profiles)
-        yield search._unravel(np.arange(start, stop), grid)
+        yield np.stack(np.unravel_index(np.arange(start, stop), grid.cell_sizes), axis=1)
 
 
 def sampled_profile_indices(grid, rng, limit):
@@ -241,12 +241,7 @@ def sampled_profile_indices(grid, rng, limit):
 
 def per_draw_profile_indices(grid, rng, limit):
     """Reference sampler: one generator call per candidate tuple, with the
-    same shuffle and rejection rules as the sampled search."""
-    if grid.total_profiles <= limit:
-        everything = list(index_tuples(grid))
-        for pos in rng.permutation(len(everything)):
-            yield everything[pos]
-        return
+    same rejection rule as the sampled search."""
     highs = np.array(grid.cell_sizes)
     visited = set()
     produced = 0

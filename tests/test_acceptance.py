@@ -196,6 +196,7 @@ def test_search_results_survive_exhaustive_deviation_checks():
     rng = np.random.default_rng(105)
     started = time.perf_counter()
     checked = 0
+    modes = set()
     for trial in range(12):
         game = random_game(rng, n=2, max_states=2, max_actions=2)
         horizon = int(rng.integers(1, 3))
@@ -213,12 +214,15 @@ def test_search_results_survive_exhaustive_deviation_checks():
         )
         probe = pg.certify(game, uniform, x, horizon, 1.0)
         epsilon = 3.0 * (float(np.max(probe.gaps)) + 0.05)
-        mode = "grid" if trial % 2 == 0 else "sampled"
+        # odd trials give the first level a budget of 8 candidates, which
+        # samples it when it holds more profiles
         config = pg.SearchConfig(
-            epsilon=epsilon, mode=mode, horizon=horizon, seed=trial
+            epsilon=epsilon, horizon=horizon, seed=trial,
+            max_candidates=100_000 if trial % 2 == 0 else 8,
         )
         cert = pg.search_equilibrium(game, x, config)
         assert cert.passed
+        modes.add(cert.mode)
 
         tables = [
             pg.forward_marginals(game, cert.profile[i], x[i], horizon)
@@ -231,9 +235,10 @@ def test_search_results_survive_exhaustive_deviation_checks():
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 12
+    assert modes == {"grid", "sampled"}
     assert elapsed < budget
     report(6, "certificate soundness", elapsed, budget,
-           f"{checked} search results (both modes) beat exhaustive deviation sweeps")
+           f"{checked} search results (enumerated and sampled) beat exhaustive deviation sweeps")
 
 
 def test_reference_instance_sampled_search_finds_equilibrium(tmp_path):

@@ -75,7 +75,6 @@ def test_load_config_minimal(tmp_path):
     assert cfg.game.n == 2
     assert cfg.initial_state == (0, 0)
     assert cfg.search.epsilon == 0.1
-    assert cfg.search.mode == "grid"
     assert cfg.search.seed == 0
     assert cfg.search.initial_delta == 0.5
     assert cfg.search.max_candidates == 100_000
@@ -120,9 +119,12 @@ def test_load_config_validates_run_section(tmp_path):
     with pytest.raises(cli.ConfigError, match="run.epsilon"):
         cli.load_config(write_config(tmp_path, doc))
     doc = dominant_config()
+    # each level's size picks enumeration or sampling; a run.mode key is
+    # ignored like any other key the loader does not read
     doc["run"]["mode"] = "exhaustive"
-    with pytest.raises(cli.ConfigError, match="run.mode"):
-        cli.load_config(write_config(tmp_path, doc))
+    assert cli.load_config(write_config(tmp_path, doc)).search == cli.load_config(
+        write_config(tmp_path, dominant_config(), name="plain.json")
+    ).search
     doc = dominant_config()
     doc["run"]["initial_delta"] = 1.0
     with pytest.raises(cli.ConfigError, match="run.initial_delta"):
@@ -151,7 +153,9 @@ def test_bundled_config_matches_builtin_instance():
         assert cfg.game.players[i].weighting.alpha == 0.8
     assert cfg.game.discount_beta == reference.discount_beta
     assert cfg.search.epsilon == 0.01
-    assert cfg.search.mode == "sampled"
+    # the first level (step 1/2) outgrows the budget, so it is sampled
+    first = pg.ProfileGrid(cfg.game, cfg.search.resolve_horizon(cfg.game), 2)
+    assert first.total_profiles > cfg.search.max_candidates == 100_000
     assert cfg.initial_state == (0, 0, 0)
 
 
@@ -197,8 +201,20 @@ def test_read_probability_csv_rejects_malformed(tmp_path):
         "player,stage,state,action,probability\n"
         "0,1,0,0,0.5\n0,2,0,1,0.5\n"
     )
-    with pytest.raises(cli.ConfigError, match="missing row"):
+    with pytest.raises(cli.ConfigError, match="missing row for player 0, stage 1, state 0, action 1$"):
         cli.read_probability_csv(path)
+
+
+@pytest.mark.parametrize("command, flag", [("certify", "--profile"), ("marginals", "--strategy")])
+def test_sparse_strategy_csv_is_refused_before_allocation(tmp_path, capsys, command, flag):
+    # one row at stage 10**12 spans a table of 10**12 cells (7.28 TiB of
+    # floats); the reader counts the cells present before it allocates
+    path = tmp_path / "sparse.csv"
+    path.write_text("player,stage,state,action,probability\n0,1000000000000,0,0,1\n")
+    assert run_cli(command, "--config", BUNDLED_CONFIG, "--out", tmp_path / "out", flag, path) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {path}: missing row for player 0, stage 1, state 0, action 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------------- commands
@@ -228,6 +244,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     log = (out / "run.log").read_text()
     assert "status: passed" in log
     assert "mode: grid" in log
+    assert "mode: grid" in text
     assert "solve: passed" in capsys.readouterr().out
 
 
@@ -250,9 +267,9 @@ def test_solve_reruns_are_byte_identical(tmp_path):
     "doc",
     [
         dominant_config(),
-        dominant_config(mode="sampled", max_candidates=40, seed=4),
+        dominant_config(max_candidates=40, seed=4),
         pennies_config(epsilon=0.5, refinement_cap=6),
-        pennies_config(epsilon=0.5, refinement_cap=6, mode="sampled", seed=1),
+        pennies_config(epsilon=0.5, refinement_cap=6, max_candidates=10, seed=1),
     ],
     ids=["grid", "sampled-rejection", "grid-refining", "sampled-refining"],
 )
@@ -463,8 +480,10 @@ GAME_RULES = {
                  lambda: _check_tables(DOMINANT, initial_state=(0,))),
     "x-range": (dominant_config(x=[0, 5]), (), "run.x: ",
                 lambda: _check_tables(DOMINANT, initial_state=(0, 5))),
-    "mode-flag": (dominant_config(), ("--mode", "exhaustive"), "--",
-                  lambda: pg.SearchConfig(epsilon=0.1, mode="exhaustive")),
+    "seed-flag": (dominant_config(), ("--seed", "-1"), "--",
+                  lambda: pg.SearchConfig(epsilon=0.1, seed=-1)),
+    "initial-delta-subnormal": (dominant_config(initial_delta=1e-320), (), "run.",
+                                lambda: pg.SearchConfig(epsilon=0.1, initial_delta=1e-320)),
     "satisfaction-length": (smartgrid_variant(satisfaction={"kind": "table", "values": [0.0]}),
                             (), "smartgrid.prosumers[0]: ",
                             lambda: bundled_prosumer(satisfaction=[0.0])),
@@ -490,13 +509,13 @@ def test_each_game_rule_is_reported_from_its_library_home(tmp_path, capsys, rule
 
 @pytest.mark.parametrize("flag, doc_seed, where", [("-1", 0, "--seed"), (None, -1, "run.seed")])
 def test_solve_rejects_negative_seed(tmp_path, capsys, flag, doc_seed, where):
-    cfg = write_config(tmp_path, dominant_config(mode="sampled", seed=doc_seed))
+    cfg = write_config(tmp_path, dominant_config(max_candidates=40, seed=doc_seed))
     argv = ["solve", "--config", cfg, "--out", tmp_path / "out"]
     if flag is not None:
         argv += ["--seed", flag]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert f"config error: {where}: must be >= 0, got -1" in err
+    assert f"config error: {where}: must be an integer >= 0, got -1" in err
     assert "Traceback" not in err
 
 
@@ -511,41 +530,50 @@ def test_solve_not_found_keeps_best_candidate(tmp_path, capsys):
     assert "no profile passed certification" in captured.err
 
 
-def test_solve_oversized_grid_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, dominant_config(max_candidates=5))
-    assert run_cli("solve", "--config", cfg, "--out", tmp_path / "out") == 2
-    assert "use sampled mode" in capsys.readouterr().err
+def test_solve_samples_an_oversized_grid(tmp_path, capsys):
+    # 81 profiles against a budget of 5: five distinct draws, none passing
+    cfg = write_config(tmp_path, dominant_config(max_candidates=5, refinement_cap=0))
+    out = tmp_path / "out"
+    assert run_cli("solve", "--config", cfg, "--out", out) == 1
+    text = (out / "certificate.txt").read_text()
+    assert text.startswith("passed: false\nmode: sampled\n")
+    assert "candidates_examined: 5\n" in text
+    assert "mode: sampled" in (out / "run.log").read_text()
+    assert "no profile passed certification within 1 grid level(s)" in capsys.readouterr().err
 
 
 def test_solve_names_an_astronomical_grid_in_scientific_notation(tmp_path, capsys):
-    # epsilon 5e-324 gives a horizon of hundreds of stages: the grid has 469
-    # digits, too many for a float
-    args = ("solve", "--config", BUNDLED_CONFIG, "--epsilon", "5e-324", "--mode", "grid")
-    assert run_cli(*args, "--out", tmp_path / "out") == 2
+    # step 1e-300 over two actions is a lattice of 10**300 rows, too many
+    # digits for a plain count
+    doc = json.loads(BUNDLED_CONFIG.read_text())
+    doc["run"]["initial_delta"] = 1e-300
+    assert run_cli("solve", "--config", write_config(tmp_path, doc), "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "holds 1.137499e+468 candidates, above the cap 100000" in err
+    assert "lattice at step 1e-300 over 2 actions holds 1.000000e+300 rows" in err
     assert len(err) < 200
 
 
 def test_solve_keeps_the_levels_below_the_grid_cap(tmp_path, capsys):
-    # the third level (81 profiles at step 1/8) is above the cap of 30: the
-    # first two are searched and the best candidate is still written
+    # the first two levels (9 and 25 profiles) fit the budget of 30 and are
+    # enumerated; the third (81 at step 1/8) samples 30, and the best
+    # candidate is written
     cfg = write_config(tmp_path, pennies_config(refinement_cap=2, max_candidates=30))
     out = tmp_path / "out"
     assert run_cli("solve", "--config", cfg, "--out", out) == 1
-    assert (out / "certificate.txt").read_text().startswith("passed: false\n")
+    text = (out / "certificate.txt").read_text()
+    assert text.startswith("passed: false\nmode: sampled\n")
+    assert "candidates_examined: 64\n" in text
     assert "status: not-found" in (out / "run.log").read_text()
     err = capsys.readouterr().err
-    assert "within 2 grid level(s)" in err
-    assert "refinement stopped: profile grid at step 0.125 holds 81 candidates" in err
+    assert "within 3 grid level(s)" in err
+    assert "refinement stopped" not in err
 
 
 def test_solve_cli_overrides(tmp_path):
-    cfg = write_config(tmp_path, dominant_config())
+    cfg = write_config(tmp_path, dominant_config(max_candidates=40))
     out = tmp_path / "out"
     assert run_cli(
-        "solve", "--config", cfg, "--out", out, "--epsilon", "1000000", "--mode", "sampled",
-        "--seed", "9",
+        "solve", "--config", cfg, "--out", out, "--epsilon", "1000000", "--seed", "9",
     ) == 0
     text = (out / "certificate.txt").read_text()
     assert "mode: sampled" in text
@@ -645,11 +673,13 @@ def test_strategy_csv_rejects_out_of_range_indices(tmp_path, capsys, command, fl
 
 
 def test_solve_refused_grid_leaves_no_artifact_directory(tmp_path, capsys):
+    # a subnormal step has no lattice: its reciprocal overflows
     doc = json.loads(BUNDLED_CONFIG.read_text())
-    doc["run"].update(mode="grid", initial_delta=1e-6)
+    doc["run"]["initial_delta"] = 1e-320
     out = tmp_path / "out"
     assert run_cli("solve", "--config", write_config(tmp_path, doc), "--out", out) == 2
-    assert "use sampled mode" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "config error: run.initial_delta: must have a finite reciprocal, got 1e-320\n"
     assert not out.exists()
 
 
@@ -657,7 +687,7 @@ def test_solve_refuses_a_lattice_too_fine_to_build(tmp_path, capsys):
     # step 1e-12 over two actions is a lattice of 10**12 rows: refused
     # before it is allocated, and as no level was searched, exit 2
     doc = json.loads(BUNDLED_CONFIG.read_text())
-    doc["run"].update(mode="sampled", initial_delta=1e-12, max_candidates=10, refinement_cap=0)
+    doc["run"].update(initial_delta=1e-12, max_candidates=10, refinement_cap=0)
     out = tmp_path / "out"
     assert run_cli("solve", "--config", write_config(tmp_path, doc), "--out", out) == 2
     err = capsys.readouterr().err
@@ -777,6 +807,7 @@ def test_smallest_positive_epsilon_runs_without_a_traceback(tmp_path, capsys):
         ["bound", "--seed", "3"],
         ["bound", "--mode", "grid"],
         ["bound", "--out", "nowhere"],
+        ["solve", "--mode", "grid"],
     ],
     ids=lambda argv: f"{argv[0]} {argv[-2]}",
 )

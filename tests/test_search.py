@@ -1,5 +1,7 @@
-"""Lattice enumeration, certification, and the equilibrium search in both modes."""
+"""Lattice enumeration, certification, and the equilibrium search, enumerated
+and sampled."""
 import collections
+import json
 import math
 import runpy
 from dataclasses import replace
@@ -100,6 +102,15 @@ def test_simplex_grid_step_rounds_down():
     assert np.array_equal(pg.simplex_grid(2, 0.3), pg.simplex_grid(2, 0.25))
 
 
+@pytest.mark.parametrize("delta", [1e-320, 5e-324, 5e-309])
+def test_a_step_without_a_finite_reciprocal_is_refused(delta):
+    # 1/delta overflows to inf, which has no ceiling
+    with pytest.raises(ValueError, match=f"grid step: must have a finite reciprocal, got {delta}"):
+        pg.simplex_grid(2, delta)
+    with pytest.raises(ValueError, match=f"initial_delta: must have a finite reciprocal, got {delta}"):
+        pg.SearchConfig(epsilon=0.1, initial_delta=delta)
+
+
 def test_simplex_grid_rows_are_distributions():
     for count in (1, 2, 3, 4):
         rows = pg.simplex_grid(count, 1 / 3)
@@ -161,11 +172,22 @@ def test_profile_grid_enumeration_order():
 
 
 def test_grid_profiles_cap():
+    assert pg.ProfileGrid(dominant_game(2), 2, 2).total_profiles == 81
+
+
+def test_search_equilibrium_honours_the_mode():
+    # a level of at most max_candidates profiles is enumerated, a larger one
+    # sampled: the 81 profiles here are enumerated at a budget of 81 and
+    # sampled at 80
     game = dominant_game(2)
-    with pytest.raises(pg.GridTooLargeError, match="use sampled mode"):
-        pg.ProfileGrid(game, 2, 2, cap=80)
-    grid = pg.ProfileGrid(game, 2, 2, cap=81)
-    assert grid.total_profiles == 81
+    grid = pg.SearchConfig(epsilon=0.1, horizon=2, max_candidates=81)
+    sampled = replace(grid, max_candidates=80, seed=3)
+    enumerated = pg.search_equilibrium(game, (0, 0), grid)
+    assert (enumerated.candidates_examined, enumerated.mode) == (81, "grid")
+    # the unique pass is the 53rd distinct draw of this seed
+    drawn = pg.search_equilibrium(game, (0, 0), sampled)
+    assert (drawn.candidates_examined, drawn.mode) == (53, "sampled")
+    assert pg.certify(game, drawn.profile, (0, 0), 2, 0.1).passed
 
 
 def test_profile_grid_requires_an_integer_resolution():
@@ -179,51 +201,40 @@ def test_grid_counts_above_1e15_are_shown_in_scientific_notation():
     # rounded from the exact digits, past where a float overflows
     assert search._count_text(3**1000) == "1.322071e+477"
     assert search._count_text(10**400 - 1) == "1.000000e+400"
-    with pytest.raises(pg.GridTooLargeError, match=r"holds 1\.215767e\+19 candidates"):
-        pg.ProfileGrid(dominant_game(2), 20, 2, cap=10**6)  # 3**40 profiles
+    with pytest.raises(pg.GridTooLargeError, match=r"holds 1\.000000e\+16 rows"):
+        search._lattice(2, 10**16)
 
 
-def test_grid_cap_is_checked_before_any_lattice_is_built(monkeypatch):
-    # resolution 10**6 would build lattices of 10**6 rows before refusing
+def test_oversized_first_level_is_sampled_not_refused(monkeypatch):
+    # 9 profiles against a budget of 8: the level is sampled, not enumerated
     def refuse(*args):
-        raise AssertionError("a lattice was built for an oversized grid")
+        raise AssertionError("the level was enumerated")
 
-    monkeypatch.setattr(search, "_lattice", refuse)
-    game = dominant_game(2)
-    with pytest.raises(pg.GridTooLargeError, match="1000002000001 candidates"):
-        pg.ProfileGrid(game, 1, 10**6, cap=10**6)
-    config = pg.SearchConfig(epsilon=0.1, horizon=1, initial_delta=1e-6, max_candidates=10**6)
-    with pytest.raises(pg.GridTooLargeError):
-        pg.search_equilibrium(game, (0, 0), config)
-
-
-def test_oversized_first_level_is_refused_before_any_certification(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a candidate was certified")
-
-    monkeypatch.setattr(search, "_evaluate", refuse)
-    config = pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, max_candidates=8)
-    with pytest.raises(pg.GridTooLargeError, match=r"at step 0\.5 holds 9 candidates"):
+    monkeypatch.setattr(search, "_grid_blocks", refuse)
+    config = pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, max_candidates=8,
+                             refinement_cap=0)
+    with pytest.raises(pg.EquilibriumNotFoundError) as info:
         pg.search_equilibrium(pennies_game(), (0, 0), config)
+    best = info.value.best_certificate
+    assert (best.candidates_examined, best.final_delta, best.mode) == (8, 0.5, "sampled")
 
 
-def test_grid_refinement_stops_before_a_level_above_the_cap(monkeypatch):
-    # resolutions 2, 4 and 8 hold 9, 25 and 81 profiles; with a cap of 30
-    # the third level is refused before its lattice is built, so the search
-    # exhausts two levels and keeps its best certificate
+def test_refinement_samples_a_level_above_the_budget(monkeypatch):
+    # resolutions 2, 4 and 8 hold 9, 25 and 81 profiles; with a budget of
+    # 30 the first two levels are enumerated and the third samples 30
     built = []
     lattice = search._lattice
     monkeypatch.setattr(search, "_lattice", lambda a, r: built.append(r) or lattice(a, r))
     config = pg.SearchConfig(
         epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2, max_candidates=30
     )
-    stopped = r"refinement stopped: profile grid at step 0\.125 holds 81 candidates"
-    with pytest.raises(pg.EquilibriumNotFoundError, match=stopped) as info:
+    with pytest.raises(pg.EquilibriumNotFoundError) as info:
         pg.search_equilibrium(pennies_game(), (0, 0), config)
-    assert info.value.levels == 2
+    assert info.value.levels == 3
+    assert "refinement stopped" not in str(info.value)
     best = info.value.best_certificate
-    assert (best.candidates_examined, best.final_delta) == (34, 0.25)
-    assert built == [2, 4]
+    assert (best.candidates_examined, best.final_delta, best.mode) == (64, 0.125, "sampled")
+    assert built == [2, 4, 8]
 
 
 def test_lattice_too_fine_to_build_is_refused_before_allocation():
@@ -240,13 +251,14 @@ def test_sampled_refinement_stops_before_a_lattice_too_fine_to_build(monkeypatch
     # actions; the third level is refused and the best certificate kept
     monkeypatch.setattr(search, "_LATTICE_ENTRIES", 10)
     config = pg.SearchConfig(
-        epsilon=0.01, horizon=1, mode="sampled", initial_delta=0.9, refinement_cap=2
+        epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2, max_candidates=5
     )
     stopped = r"refinement stopped: lattice at step 0\.125 over 2 actions holds 9 rows, above 10"
     with pytest.raises(pg.EquilibriumNotFoundError, match=stopped) as info:
         pg.search_equilibrium(pennies_game(), (0, 0), config)
     assert info.value.levels == 2
     assert info.value.best_certificate.final_delta == 0.25
+    assert info.value.best_certificate.mode == "sampled"
 
 
 def test_refinement_doubles_the_resolution_exactly(monkeypatch):
@@ -263,7 +275,7 @@ def test_refinement_doubles_the_resolution_exactly(monkeypatch):
 
     monkeypatch.setattr(search, "_lattice", uniform)
     config = pg.SearchConfig(
-        epsilon=0.01, horizon=1, mode="sampled", initial_delta=1 / 12_845_056,
+        epsilon=0.01, horizon=1, initial_delta=1 / 12_845_056,
         max_candidates=2, refinement_cap=3,
     )
     with pytest.raises(pg.EquilibriumNotFoundError) as info:
@@ -389,16 +401,6 @@ def test_grid_search_single_player_reaches_optimum():
         assert cert.values[0] >= optimum - 0.05 / 3 - 1e-9
 
 
-def test_grid_search_rejects_oversized_grid():
-    game = dominant_game(2)
-    with pytest.raises(pg.GridTooLargeError, match="use sampled mode"):
-        pg.search_equilibrium(
-            game,
-            (0, 0),
-            pg.SearchConfig(epsilon=0.1, horizon=2, max_candidates=80),
-        )
-
-
 def test_grid_search_not_found_carries_best_candidate():
     game = pennies_game()
     config = pg.SearchConfig(
@@ -445,7 +447,7 @@ def test_exhausted_grid_search_keeps_the_first_of_tied_candidates():
 
 def test_sampled_search_is_deterministic():
     game = dominant_game(2)
-    config = pg.SearchConfig(epsilon=0.1, horizon=2, mode="sampled", seed=11)
+    config = pg.SearchConfig(epsilon=0.1, horizon=2, max_candidates=60, seed=11)
     first = pg.search_equilibrium(game, (0, 0), config)
     second = pg.search_equilibrium(game, (0, 0), config)
     assert first.passed and second.passed
@@ -456,12 +458,14 @@ def test_sampled_search_is_deterministic():
 
 
 def test_sampled_search_agrees_with_grid_on_unique_pass():
-    # only one lattice profile passes, so both modes must land on it
+    # only one lattice profile passes, so enumeration and sampling must
+    # land on it
     game = dominant_game(2)
     from_grid = pg.search_equilibrium(game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2))
     from_samples = pg.search_equilibrium(
-        game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2, mode="sampled", seed=3)
+        game, (0, 0), pg.SearchConfig(epsilon=0.1, horizon=2, max_candidates=80, seed=3)
     )
+    assert (from_grid.mode, from_samples.mode) == ("grid", "sampled")
     assert from_samples.passed
     assert from_samples.final_delta == 0.5
     for a, b in zip(from_samples.profile, from_grid.profile):
@@ -473,7 +477,7 @@ def test_sampled_search_not_found():
     config = pg.SearchConfig(
         epsilon=0.01,
         horizon=1,
-        mode="sampled",
+        max_candidates=8,
         refinement_cap=0,
         initial_delta=0.9,
         seed=2,
@@ -481,7 +485,7 @@ def test_sampled_search_not_found():
     with pytest.raises(pg.EquilibriumNotFoundError) as info:
         pg.search_equilibrium(game, (0, 0), config)
     best = info.value.best_certificate
-    assert best.candidates_examined == 9  # grid smaller than the budget
+    assert best.candidates_examined == 8  # 8 distinct draws of the 9 profiles
     assert np.max(best.gaps) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -500,12 +504,10 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         pg.SearchConfig(epsilon=0.1, initial_delta=1.0)
     with pytest.raises(ValueError):
-        pg.SearchConfig(epsilon=0.1, mode="annealed")
-    with pytest.raises(ValueError):
         pg.SearchConfig(epsilon=0.1, max_candidates=0)
     with pytest.raises(ValueError):
         pg.SearchConfig(epsilon=0.1, refinement_cap=-1)
-    with pytest.raises(ValueError, match="seed: must be >= 0"):
+    with pytest.raises(ValueError, match="seed: must be an integer >= 0"):
         pg.SearchConfig(epsilon=0.1, seed=-1)
     for epsilon in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
@@ -514,6 +516,15 @@ def test_search_config_validation():
         pg.search_equilibrium(
             dominant_game(1), (0,), pg.SearchConfig(epsilon=0.1, horizon=0)
         )
+
+
+@pytest.mark.parametrize("field, low", [("max_candidates", 1), ("seed", 0), ("refinement_cap", 0)])
+@pytest.mark.parametrize("value", [2.5, 1.0, "3", None])
+def test_count_settings_must_be_integers(field, low, value):
+    with pytest.raises(ValueError, match=rf"^{field}: must be an integer >= {low}, got {value}$"):
+        pg.SearchConfig(epsilon=0.1, **{field: value})
+    # numpy integers count as integers
+    assert getattr(pg.SearchConfig(epsilon=0.1, **{field: np.int64(3)}), field) == 3
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -0.1])
@@ -648,7 +659,6 @@ def still_game(action_counts, state_count=1):
 @pytest.mark.parametrize(
     "actions, states, horizon, resolution, limit",
     [
-        pytest.param((2, 2), 1, 1, 2, 100, id="2-1-100"),
         pytest.param((2, 2), 1, 2, 2, 40, id="2-2-40"),
         pytest.param((2, 2), 1, 2, 2, 80, id="2-2-80"),
         pytest.param((2, 2, 2), 1, 2, 2, 300, id="3-2-300"),
@@ -659,9 +669,8 @@ def still_game(action_counts, state_count=1):
     ],
 )
 def test_block_sampler_keeps_the_per_draw_sequence(actions, states, horizon, resolution, limit):
-    # the first grid (9 profiles) is shuffled whole; the others reject
-    # against the visited set.  Equal cell sizes take the scalar draw
-    # bound, mixed 2- and 3-action players the array of sizes; (2, 2) at
+    # draws reject against the visited set.  Equal cell sizes take the
+    # scalar draw bound, mixed 2- and 3-action players the array of sizes; (2, 2) at
     # 80 of 81 and (2, 3) at 17 of 18 profiles collide often; resolution
     # 32 gives 3-action cells of 561 indices, so the keys hold uint16
     grid = pg.ProfileGrid(still_game(actions, states), horizon, resolution)
@@ -719,18 +728,16 @@ def test_live_cells_are_where_the_uniform_strategy_puts_mass(seed):
 
 
 def grid_outcome(game, x, config):
-    """Everything a grid search reports: status, certificate bytes, count,
-    step, levels and message (the refusal's message when refused)."""
+    """Everything a search reports: status, certificate bytes, count, step,
+    final level's mode, levels and message."""
     try:
         cert = pg.search_equilibrium(game, x, config)
         status, levels, message = "passed", None, None
     except pg.EquilibriumNotFoundError as exc:
         cert, status, levels, message = exc.best_certificate, "exhausted", exc.levels, str(exc)
-    except pg.GridTooLargeError as exc:
-        return ("refused", str(exc))
     return (
-        status, levels, message, cert.passed, cert.candidates_examined, cert.final_delta,
-        cert.values.tobytes(), cert.best_values.tobytes(), cert.gaps.tobytes(),
+        status, cert.mode, levels, message, cert.passed, cert.candidates_examined,
+        cert.final_delta, cert.values.tobytes(), cert.best_values.tobytes(), cert.gaps.tobytes(),
         tuple(s.dist.tobytes() for s in cert.profile),
     )
 
@@ -750,9 +757,9 @@ def noisy_pennies(rng, stages):
 
 
 def test_live_grid_search_matches_the_full_grid(monkeypatch):
-    # skipping dead cells must not change a single bit of any grid outcome:
+    # skipping dead cells must not change a single bit of any outcome:
     # sparse and nonstationary kernels, refinements, integer payoffs (ties),
-    # passes, exhaustions and refusals
+    # passes and exhaustions, on enumerated levels and then sampled ones
     seen = collections.Counter()
     skipped = 0
     for seed in range(300):
@@ -778,8 +785,9 @@ def test_live_grid_search_matches_the_full_grid(monkeypatch):
         monkeypatch.setattr(search, "_grid_blocks", full_grid_blocks)
         assert grid_outcome(game, x, config) == fast, seed
         monkeypatch.undo()
-        seen[fast[0]] += 1
-    assert min(seen[status] for status in ("passed", "exhausted", "refused")) >= 30, seen
+        seen[fast[:2]] += 1
+    outcomes = [(status, mode) for status in ("passed", "exhausted") for mode in ("grid", "sampled")]
+    assert min(seen[outcome] for outcome in outcomes) >= 30, seen
     assert skipped >= 150
 
 
@@ -802,24 +810,28 @@ def test_grid_exhaust_workload_certifies_only_live_rows(monkeypatch, tmp_path):
     monkeypatch.setattr(search, "_evaluate", counting)
     with pytest.raises(pg.EquilibriumNotFoundError) as info:
         pg.search_equilibrium(cfg.game, cfg.initial_state, cfg.search)
-    assert info.value.best_certificate.candidates_examined == 6561
+    best = info.value.best_certificate
+    assert (best.candidates_examined, best.mode) == (6561, "grid")
     assert rows <= 729
 
 
 def test_benchmark_workloads_hold_their_pins(tmp_path, capsys):
     # every benchmark config, generated read-only from the benchmark's
     # workloads file and solved through the CLI: a change that moves a pin
-    # fails here, not only in the benchmark
+    # fails here, not only in the benchmark.  Each config still names the
+    # scan its level size picks (the loader ignores that key).
     workloads = runpy.run_path(str(BENCHMARKS / "workloads.py"))
     for name, pin in workloads["WORKLOADS"].items():
         path = tmp_path / f"{name}.json"
-        path.write_text(pin.config_text(workloads["DEFAULT_SEED"]))
+        text = pin.config_text(workloads["DEFAULT_SEED"])
+        path.write_text(text)
         out = tmp_path / name
         assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == pin.exit_code, name
         lines = (out / "certificate.txt").read_text().splitlines()
         header = dict(line.split(": ", 1) for line in lines if line.startswith(
-            ("candidates_examined:", "horizon:", "final_delta:")
+            ("mode:", "candidates_examined:", "horizon:", "final_delta:")
         ))
+        assert header["mode"] == json.loads(text)["run"]["mode"], name
         assert int(header["candidates_examined"]) == pin.candidates_examined, name
         assert int(header["horizon"]) == pin.horizon, name
         assert float(header["final_delta"]) == pin.final_delta, name
@@ -850,15 +862,17 @@ BLOCK_CASES = [
     (pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9)),
     (pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2)),
     # rejection sampling with 40 draws from 81 profiles per level
-    (dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2, mode="sampled", max_candidates=40, seed=4)),
-    # whole-grid shuffles across refinements
-    (pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9, mode="sampled", seed=1)),
-    (pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, mode="sampled", refinement_cap=2)),
+    (dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2, max_candidates=40, seed=4)),
+    # passes at the third level, the second sampled one
+    (pennies_game(), pg.SearchConfig(epsilon=0.5, horizon=1, initial_delta=0.9, max_candidates=10, seed=1)),
+    (pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, max_candidates=8, refinement_cap=2)),
+    # enumerated levels, then a sampled one
+    (pennies_game(), pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, max_candidates=30, refinement_cap=2)),
     # ties between candidates that differ only in unreachable cells
     (unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=0)),
-    (unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, mode="sampled", refinement_cap=1, max_candidates=50)),
+    (unreachable_state_pennies(), pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=1, max_candidates=50)),
     # the reference instance: 463 draws, passing in the second default block
-    (pg.build_simulation_game(), pg.SearchConfig(epsilon=1e-3, mode="sampled", seed=3)),
+    (pg.build_simulation_game(), pg.SearchConfig(epsilon=1e-3, seed=3)),
 ]
 
 
@@ -886,7 +900,7 @@ def test_search_results_do_not_depend_on_block_size(monkeypatch, case):
 @pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
 def test_search_certificate_equals_certify_of_its_profile(case):
     # the search builds its certificate from the kernel's row; the cases
-    # pass and exhaust in both modes, and certify of the profile must
+    # pass and exhaust, enumerated and sampled, and certify of the profile must
     # reproduce the certificate
     game, config = BLOCK_CASES[case]
     x = (0,) * game.n
@@ -946,11 +960,12 @@ def test_lazy_pass_matches_full_pass_on_random_games(monkeypatch):
         rng = np.random.default_rng([seed, 80])
         game = random_game(rng, n=int(rng.integers(2, 4)), max_states=2, max_actions=2)
         x = random_initial_state(rng, game)
-        mode = ("grid", "sampled")[seed % 2]
+        # horizon 1 fits the budget of 1000 at both levels (at most 25**3
+        # profiles at the second); horizon 2 outgrows 150 at the first
+        horizon = 1 + seed % 2
         config = pg.SearchConfig(
-            epsilon=float(rng.choice([1e-4, 1e-2, 0.1])), horizon=1 if mode == "grid" else 2,
-            mode=mode, seed=seed, max_candidates=1000 if mode == "grid" else 150,
-            refinement_cap=1,
+            epsilon=float(rng.choice([1e-4, 1e-2, 0.1])), horizon=horizon,
+            seed=seed, max_candidates=1000 if horizon == 1 else 150, refinement_cap=1,
         )
         widest = max(game.opponent_pair_count(i) for i in range(game.n))
         monkeypatch.setattr(search, "_BLOCK_ELEMENTS", 3 * widest)
@@ -960,7 +975,7 @@ def test_lazy_pass_matches_full_pass_on_random_games(monkeypatch):
         evaluate_every_player(monkeypatch)
         assert_bit_equal(lazy, outcome(game, x, config))
         monkeypatch.undo()
-        verdicts.add((mode, lazy.passed))
+        verdicts.add((lazy.mode, lazy.passed))
     assert verdicts == {(m, v) for m in ("grid", "sampled") for v in (True, False)}
     assert pruned > 1000
 
@@ -979,22 +994,9 @@ def test_lazy_pass_prunes_most_player_rows_on_six_prosumers(monkeypatch):
 
     monkeypatch.setattr(search, "_stage_terms", counting)
     config = pg.SearchConfig(
-        epsilon=1e-4, mode="sampled", max_candidates=400, horizon=4, seed=20250817, refinement_cap=0
+        epsilon=1e-4, max_candidates=400, horizon=4, seed=20250817, refinement_cap=0
     )
     with pytest.raises(pg.EquilibriumNotFoundError) as info:
         pg.search_equilibrium(game, (0,) * 6, config)
     assert info.value.best_certificate.candidates_examined == 400
     assert rows <= 0.4 * 6 * 400
-
-
-def test_search_equilibrium_honours_the_mode():
-    game = dominant_game(2)
-    grid = pg.SearchConfig(epsilon=0.1, horizon=2)
-    sampled = replace(grid, mode="sampled", seed=3)
-    assert pg.search_equilibrium(game, (0, 0), grid).candidates_examined == 81
-    # the unique pass is the 30th profile of this seed's shuffle of all 81
-    assert pg.search_equilibrium(game, (0, 0), sampled).candidates_examined == 30
-    # the grid cap binds grid mode only
-    with pytest.raises(pg.GridTooLargeError):
-        pg.search_equilibrium(game, (0, 0), replace(grid, max_candidates=80))
-    pg.search_equilibrium(game, (0, 0), replace(sampled, max_candidates=80))
