@@ -107,52 +107,54 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
-def _weighting_from_config(cfg, path: str) -> WeightingFunction:
-    if cfg is None:
-        return WeightingFunction.identity()
-    kind = _require(cfg, "kind", path)
-    try:
-        if kind == "identity":
-            return WeightingFunction.identity()
-        if kind == "prelec":
-            return WeightingFunction.prelec(_as_number(_require(cfg, "alpha", path), f"{path}.alpha"))
-        if kind == "power_complement":
-            return WeightingFunction.power_complement(
-                _as_number(_require(cfg, "alpha", path), f"{path}.alpha")
-            )
-        if kind == "table":
-            return WeightingFunction.from_table(_require(cfg, "points", path))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown weighting kind {kind!r}")
-
-
-def _valuation_from_config(cfg, path: str) -> ValuationFunction:
-    if cfg is None:
-        return ValuationFunction.identity()
-    kind = _require(cfg, "kind", path)
-    try:
-        if kind == "identity":
-            return ValuationFunction.identity()
-        if kind == "piecewise_power":
-            return ValuationFunction.piecewise_power(
-                _as_number(_require(cfg, "c1", path), f"{path}.c1"),
-                _as_number(_require(cfg, "c2", path), f"{path}.c2"),
-                _as_number(_require(cfg, "c3", path), f"{path}.c3"),
-            )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown valuation kind {kind!r}")
-
-
 def _as_list(value, path: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list, got {value!r}")
     return value
+
+
+# every distortion kind's constructor and JSON keys, the keys in the order
+# of the constructor's arguments with each key's type check; the one schema
+# behind reading a config and writing one
+_DISTORTIONS = {
+    "weighting": {
+        "identity": (WeightingFunction.identity, {}),
+        "prelec": (WeightingFunction.prelec, {"alpha": _as_number}),
+        "power_complement": (WeightingFunction.power_complement, {"alpha": _as_number}),
+        "table": (WeightingFunction.from_table, {"points": _as_list}),
+    },
+    "valuation": {
+        "identity": (ValuationFunction.identity, {}),
+        "piecewise_power": (
+            ValuationFunction.piecewise_power,
+            {"c1": _as_number, "c2": _as_number, "c3": _as_number},
+        ),
+    },
+}
+
+
+def _distortion_from_config(entry: dict, section: str, path: str):
+    """The ``section`` distortion ("weighting" or "valuation") of a player
+    or prosumer ``entry`` at ``path``; identity when the key is absent."""
+    kinds = _DISTORTIONS[section]
+    cfg = {"kind": "identity"} if entry.get(section) is None else entry[section]
+    path = f"{path}.{section}"
+    kind = _require(cfg, "kind", path)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"{path}.kind: unknown {section} kind {kind!r}")
+    constructor, keys = kinds[kind]
+    args = [convert(_require(cfg, key, path), f"{path}.{key}") for key, convert in keys.items()]
+    try:
+        return constructor(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _distortion_document(distortion, section: str) -> dict:
+    """The JSON object that :func:`_distortion_from_config` reads back as
+    ``distortion``."""
+    keys = _DISTORTIONS[section][distortion.kind][1]
+    return {"kind": distortion.kind, **dict(zip(keys, distortion.arguments))}
 
 
 def _kernel_from_config(cfg, path: str) -> TransitionKernel:
@@ -176,8 +178,7 @@ def _game_from_config(cfg: dict) -> ValidatedGame:
                 state_count=_as_int(_require(entry, "state_count", path), f"{path}.state_count"),
                 action_count=_as_int(_require(entry, "action_count", path), f"{path}.action_count"),
                 kernel=_kernel_from_config(_require(entry, "kernel", path), f"{path}.kernel"),
-                weighting=_weighting_from_config(entry.get("weighting"), f"{path}.weighting"),
-                valuation=_valuation_from_config(entry.get("valuation"), f"{path}.valuation"),
+                **{key: _distortion_from_config(entry, key, path) for key in _DISTORTIONS},
             )
         )
     payoff = _require(cfg, "payoff", "game")
@@ -229,8 +230,8 @@ def _prosumer_from_config(entry: dict, path: str) -> ProsumerSpec:
             raise ConfigError(f"{path}.{key}.kind: expected {default!r} or 'table'")
         values = _as_list(_require(pref, "values", f"{path}.{key}"), f"{path}.{key}.values")
         kwargs[key] = [_as_number(v, f"{path}.{key}.values[{k}]") for k, v in enumerate(values)]
-    kwargs["weighting"] = _weighting_from_config(entry.get("weighting"), f"{path}.weighting")
-    kwargs["valuation"] = _valuation_from_config(entry.get("valuation"), f"{path}.valuation")
+    for key in _DISTORTIONS:
+        kwargs[key] = _distortion_from_config(entry, key, path)
     try:
         return ProsumerSpec(
             storage_cap=storage_cap,
@@ -258,6 +259,8 @@ def _smartgrid_from_config(cfg: dict) -> ValidatedGame:
         return build_prosumer_game(prosumers, discount_beta=beta, induced_demand=induced)
     except GameValidationError as exc:
         raise ConfigError("smartgrid: " + "; ".join(exc.violations)) from exc
+    except ValueError as exc:
+        raise ConfigError(f"smartgrid: {exc}") from exc
 
 
 # the run section's keys, in the order their errors are reported, with each
@@ -401,10 +404,10 @@ def _profile_from_csv(path, game: ValidatedGame, horizon: int | None = None):
 # ---------- artifact writers ----------
 
 
-def _certificate_lines(cert, mode: str) -> list:
+def _certificate_lines(cert) -> list:
     lines = [
         f"passed: {'true' if cert.passed else 'false'}",
-        f"mode: {mode}",
+        f"mode: {cert.mode}",
         f"epsilon: {_fmt(cert.epsilon)}",
         f"deviation_allowance: {_fmt(cert.epsilon / 3.0)}",
         f"horizon: {cert.horizon}",
@@ -428,12 +431,12 @@ def _certificate_lines(cert, mode: str) -> list:
     return lines
 
 
-def write_certificate(path, cert, mode: str) -> None:
-    Path(path).write_text("\n".join(_certificate_lines(cert, mode)) + "\n")
+def write_certificate(path, cert) -> None:
+    Path(path).write_text("\n".join(_certificate_lines(cert)) + "\n")
 
 
 def _write_solve_artifacts(outdir: Path, cert) -> None:
-    write_certificate(outdir / "certificate.txt", cert, cert.mode)
+    write_certificate(outdir / "certificate.txt", cert)
     for strategy in cert.profile:
         write_probability_csv(
             outdir / f"strategy_player{strategy.player}.csv",
@@ -445,10 +448,10 @@ def _write_solve_artifacts(outdir: Path, cert) -> None:
     )
 
 
-def _write_run_log(outdir: Path, cert, status, wall_time) -> None:
+def _write_run_log(outdir: Path, cert, wall_time) -> None:
     lines = [
         f"mode: {cert.mode}",
-        f"status: {'passed' if status == 0 else 'not-found'}",
+        f"status: {'passed' if cert.passed else 'not-found'}",
         f"candidates_examined: {cert.candidates_examined}",
         f"final_delta: {_fmt(cert.final_delta)}",
         f"wall_time_s: {wall_time:.3f}",
@@ -480,12 +483,10 @@ def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     search = _search_settings(cfg, args)
     started = time.perf_counter()
-    status = 0
     try:
         cert = search_equilibrium(cfg.game, cfg.initial_state, search)
     except EquilibriumNotFoundError as exc:
         cert = exc.best_certificate
-        status = 1
         print(f"solve: {exc}", file=sys.stderr)
     except GridTooLargeError as exc:
         print(f"solve: {exc}", file=sys.stderr)
@@ -494,12 +495,12 @@ def _cmd_solve(args) -> int:
     outdir = _outdir(args)
     _write_solve_artifacts(outdir, cert)
     print(
-        f"solve: {'passed' if status == 0 else 'best candidate only'}; "
+        f"solve: {'passed' if cert.passed else 'best candidate only'}; "
         f"worst gap {np.max(cert.gaps):.6g} (allowance {search.epsilon / 3.0:.6g}); "
         f"artifacts in {outdir}"
     )
-    _write_run_log(outdir, cert, status, wall)
-    return status
+    _write_run_log(outdir, cert, wall)
+    return 0 if cert.passed else 1
 
 
 def _cmd_certify(args) -> int:
@@ -508,7 +509,7 @@ def _cmd_certify(args) -> int:
     horizon = search.resolve_horizon(cfg.game)
     profile = _profile_from_csv(args.profile, cfg.game, horizon)
     cert = certify(cfg.game, profile, cfg.initial_state, horizon, search.epsilon)
-    write_certificate(_outdir(args) / "certificate.txt", cert, mode="certify")
+    write_certificate(_outdir(args) / "certificate.txt", replace(cert, mode="certify"))
     print(
         f"certify: {'passed' if cert.passed else 'failed'}; worst gap "
         f"{np.max(cert.gaps):.6g} (allowance {search.epsilon / 3.0:.6g})"
@@ -534,20 +535,6 @@ def _cmd_marginals(args) -> int:
 def _game_to_document(game: ValidatedGame) -> dict:
     players = []
     for p in game.players:
-        weighting = {"kind": p.weighting.kind}
-        if p.weighting.kind in ("prelec", "power_complement"):
-            weighting["alpha"] = p.weighting.alpha
-        elif p.weighting.kind == "table":
-            weighting["points"] = [
-                [y, w] for y, w in zip(p.weighting.knots_y, p.weighting.knots_w)
-            ]
-        valuation = {"kind": p.valuation.kind}
-        if p.valuation.kind == "piecewise_power":
-            valuation.update(
-                c1=p.valuation.gain_exponent,
-                c2=p.valuation.loss_scale,
-                c3=p.valuation.loss_exponent,
-            )
         kernel = p.kernel
         players.append(
             {
@@ -559,8 +546,7 @@ def _game_to_document(game: ValidatedGame) -> dict:
                         kernel.probs[0] if kernel.is_stationary else kernel.probs
                     ).tolist(),
                 },
-                "weighting": weighting,
-                "valuation": valuation,
+                **{key: _distortion_document(getattr(p, key), key) for key in _DISTORTIONS},
             }
         )
     return {

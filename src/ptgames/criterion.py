@@ -138,13 +138,18 @@ def truncation_horizon(epsilon: float, game: ValidatedGame) -> TruncationParams:
     return TruncationParams(epsilon=epsilon, horizon=horizon, value_bounds=np.array(game.value_bounds))
 
 
+def _joint_pair_count(game: ValidatedGame) -> int:
+    """The joint (state, action) count: the one factor of every tail bound."""
+    return game.joint_state_count * game.joint_action_count
+
+
 def _horizon(game: ValidatedGame, log_epsilon: float) -> int:
     """Smallest stage count (floored at 1) whose tail bound is at most
     exp(``log_epsilon``)/3 for every player.  The tail bound is inverted in
     log space, so an epsilon whose allowance underflows a float still gets
     its horizon."""
     beta = game.discount_beta
-    sizes = game.joint_state_count * game.joint_action_count
+    sizes = _joint_pair_count(game)
     log_allowance = math.log((1.0 - beta) / 3.0) + log_epsilon
     worst = 1
     for bound in game.value_bounds:
@@ -159,7 +164,7 @@ def truncation_error_bound(game: ValidatedGame, horizon: int) -> np.ndarray:
     geometric tail of the worst valued payoff over the whole product space."""
     _check_tables(game, horizon=horizon)
     beta = game.discount_beta
-    sizes = game.joint_state_count * game.joint_action_count
+    sizes = _joint_pair_count(game)
     return np.array(game.value_bounds) * sizes * beta**horizon / (1.0 - beta)
 
 
@@ -180,8 +185,8 @@ def lipschitz_delta(epsilon: float, game: ValidatedGame):
     for i, (p, constant) in enumerate(zip(game.players, constants)):
         if constant is None:
             raise ValueError(
-                f"weighting of player {i} ({p.weighting.kind}) is not Lipschitz; "
-                "grid-step bounds do not apply, use sampled search"
+                f"weighting of player {i} ({p.weighting.kind}) is not Lipschitz, "
+                "so no lattice step is guaranteed fine enough"
             )
     lipschitz_bound = max(1.0, *constants)
     horizon = _horizon(game, math.log(epsilon) - math.log(2.0))
@@ -189,7 +194,7 @@ def lipschitz_delta(epsilon: float, game: ValidatedGame):
     if worst <= 0.0:
         return 1.0, horizon
     beta = game.discount_beta
-    sizes = game.joint_state_count * game.joint_action_count
+    sizes = _joint_pair_count(game)
     pair_tail = sum(
         (p.state_count * p.action_count) ** horizon for p in game.players
     )

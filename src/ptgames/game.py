@@ -44,7 +44,8 @@ class GameValidationError(ValueError):
 
     ``violations`` holds every broken invariant with indices, not just the
     first one encountered, so a bad hand-written table can be fixed in one
-    round.
+    round.  Kernel rows are not among them: a kernel checks its own rows on
+    construction and raises a plain ``ValueError``.
     """
 
     def __init__(self, violations: Sequence[str]):
@@ -70,6 +71,11 @@ def _distribution_problem(values: np.ndarray, rule: str = "distribution"):
     Non-finite entries are reported first (NaN passes every comparison),
     then negative ones, then the row whose sum is furthest off.
     """
+    # flat reductions accept a table that keeps the rule; the row scans
+    # below run only to locate a problem
+    if values.size and np.isfinite(values).all() and (rule == "finite" or values.min() >= 0.0):
+        if rule != "distribution" or np.abs(values.sum(axis=-1) - 1.0).max() <= _SUM_TOL:
+            return None
     entry = "value" if rule == "finite" else "probability"
     checks = [(~np.isfinite(values), "non-finite")]
     if rule != "finite":
@@ -161,6 +167,13 @@ class WeightingFunction:
         return WeightingFunction(kind="table", knots_y=ys, knots_w=ws)
 
     @property
+    def arguments(self) -> tuple:
+        """The arguments of this kind's constructor, in order."""
+        if self.kind == "table":
+            return (tuple(zip(self.knots_y, self.knots_w)),)
+        return () if self.kind == "identity" else (self.alpha,)
+
+    @property
     def lipschitz_constant(self):
         """Global Lipschitz bound on [0, 1], or None when there is none.
 
@@ -250,6 +263,12 @@ class ValuationFunction:
     def identity() -> "ValuationFunction":
         return ValuationFunction(kind="identity")
 
+    @property
+    def arguments(self) -> tuple:
+        """The arguments of this kind's constructor, in order."""
+        constants = (self.gain_exponent, self.loss_scale, self.loss_exponent)
+        return () if self.kind == "identity" else constants
+
     def __call__(self, y):
         """Evaluate the valuation; accepts scalars or arrays of payoffs."""
         arr = np.asarray(y, dtype=float)
@@ -275,8 +294,9 @@ class TransitionKernel:
 
     ``probs`` has shape (stages, states, actions, states); stages past the
     declared range repeat the final one, so a stationary kernel is stored as
-    a single stage.  Rows must be probability distributions (checked by
-    ``validate_game``).
+    a single stage.  Every row ``probs[t, s, a]`` must be a probability
+    distribution; construction refuses the first row that is not, by the
+    package's one probability rule.
     """
 
     probs: np.ndarray
@@ -293,6 +313,10 @@ class TransitionKernel:
             raise ValueError(
                 f"kernel state dimensions disagree: {arr.shape[1]} vs {arr.shape[3]}"
             )
+        problem = _distribution_problem(arr)
+        if problem is not None:
+            reason, (t, s, a) = problem
+            raise ValueError(f"{reason} at (t={t + 1}, s={s}, a={a})")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -393,17 +417,11 @@ class ValidatedGame:
 
     @property
     def joint_state_count(self) -> int:
-        out = 1
-        for p in self.players:
-            out *= p.state_count
-        return out
+        return math.prod(self.state_counts)
 
     @property
     def joint_action_count(self) -> int:
-        out = 1
-        for p in self.players:
-            out *= p.action_count
-        return out
+        return math.prod(self.action_counts)
 
     def kernel(self, player: int, stage_index: int) -> np.ndarray:
         """(S, A, S) transition table of ``player`` out of ``stage_index``."""
@@ -414,11 +432,7 @@ class ValidatedGame:
         return p.state_count * p.action_count
 
     def opponent_pair_count(self, player: int) -> int:
-        out = 1
-        for j, p in enumerate(self.players):
-            if j != player:
-                out *= p.state_count * p.action_count
-        return out
+        return math.prod(self.pair_count(j) for j in range(self.n) if j != player)
 
     def payoff(self, player: int, states, actions) -> float:
         return float(self.payoff_table[(player, *states, *actions)])
@@ -441,12 +455,12 @@ def _valued_payoff_matrix(valued: np.ndarray, player: int, n: int) -> np.ndarray
 def validate_game(spec: GameSpec) -> ValidatedGame:
     """Check every structural invariant of ``spec``; return the validated game.
 
-    Raises :class:`GameValidationError` listing all violations: kernel rows
-    that do not sum to 1 or contain negative or non-finite probabilities,
-    kernel shapes that disagree with the declared sizes, a payoff that is not
-    a numeric table of the declared shape, non-finite payoff entries,
+    Raises :class:`GameValidationError` listing all violations: kernel
+    shapes that disagree with the declared sizes, a payoff that is not a
+    numeric table of the declared shape, non-finite payoff entries,
     valuations that overflow to non-finite values, empty player lists, state
-    or action counts below 1, and a discount factor outside (0, 1).
+    or action counts below 1, and a discount factor outside (0, 1).  Kernel
+    rows are checked when the :class:`TransitionKernel` is built.
     """
     problems = []
     players = tuple(spec.players)
@@ -462,23 +476,11 @@ def validate_game(spec: GameSpec) -> ValidatedGame:
             problems.append(f"player {i} needs at least one state, got {p.state_count}")
         if p.action_count < 1:
             problems.append(f"player {i} needs at least one action, got {p.action_count}")
-        kern = p.kernel.probs
-        if kern.shape[1:] != (p.state_count, p.action_count, p.state_count):
+        shape = p.kernel.probs.shape[1:]
+        if shape != (p.state_count, p.action_count, p.state_count):
             problems.append(
-                f"kernel of player {i} has shape {kern.shape[1:]}, expected "
+                f"kernel of player {i} has shape {shape}, expected "
                 f"({p.state_count}, {p.action_count}, {p.state_count})"
-            )
-            continue
-        finite = np.isfinite(kern)
-        for (t, s, a, y) in np.argwhere(~finite | (kern < 0.0)):
-            problems.append(
-                f"{'negative' if finite[t, s, a, y] else 'non-finite'} probability "
-                f"{kern[t, s, a, y]:.12g} at (player {i}, t={t + 1}, s={s}, a={a}, next={y})"
-            )
-        sums = kern.sum(axis=3)
-        for (t, s, a) in np.argwhere(np.abs(sums - 1.0) > _SUM_TOL):
-            problems.append(
-                f"row sum {sums[t, s, a]:.12g} != 1 at (player {i}, t={t + 1}, s={s}, a={a})"
             )
 
     table = None

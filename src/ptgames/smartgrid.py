@@ -326,10 +326,16 @@ def build_prosumer_game(
     other prosumers' battery levels through their induced demands; without
     it, actions are (consumption, demand) pairs and the payoff ignores other
     prosumers' battery levels entirely.  The payoff table is built by numpy
-    broadcasting, not entry by entry.
+    broadcasting, not entry by entry.  A kernel row that a generation pmf at
+    the edge of the sum tolerance leaves just outside it raises ValueError.
     """
     prosumers = tuple(prosumers)
-    players = tuple(_player_from_prosumer(p, induced_demand) for p in prosumers)
+    players = []
+    for i, p in enumerate(prosumers):
+        try:
+            players.append(_player_from_prosumer(p, induced_demand))
+        except ValueError as exc:
+            raise ValueError(f"kernel of player {i}: {exc}") from exc
     payoff = _payoff_table(prosumers, players, induced_demand)
     return validate_game(
         GameSpec(players=players, discount_beta=discount_beta, payoff=payoff)

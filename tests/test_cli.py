@@ -137,8 +137,29 @@ def test_load_config_surfaces_game_violations(tmp_path):
         "mode": "stationary",
         "probs": [[[0.5], [1.0]]],
     }
-    with pytest.raises(cli.ConfigError, match="row sum"):
+    with pytest.raises(
+        cli.ConfigError,
+        match=re.escape("game.players[0].kernel.probs: distribution sums to 0.5 at (t=1, s=0, a=0)"),
+    ):
         cli.load_config(write_config(tmp_path, doc))
+    doc = dominant_config()
+    doc["game"]["beta"] = 1.5
+    with pytest.raises(cli.ConfigError, match=re.escape("game: discount factor must lie in (0,1)")):
+        cli.load_config(write_config(tmp_path, doc))
+
+
+def test_solve_names_the_key_path_of_a_bad_kernel_row(tmp_path, capsys):
+    doc = dominant_config()
+    doc["game"]["players"][0]["kernel"] = {
+        "mode": "nonstationary",
+        "probs": [[[[1.0], [1.0]]], [[[1.5], [-0.5]]]],
+    }
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("solve", "--config", cfg, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: game.players[0].kernel.probs: ")
+    assert "negative probability -0.5 at (t=2, s=0, a=1)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bundled_config_matches_builtin_instance():
@@ -337,7 +358,7 @@ def smartgrid_variant(**prosumer0):
     "doc, message",
     [
         (one_player_config(kernel_probs=((math.nan,), (1.0,))),
-         "game: non-finite probability nan at (player 0, t=1, s=0, a=0, next=0)"),
+         "game.players[0].kernel.probs: non-finite probability nan at (t=1, s=0, a=0)"),
         (one_player_config(weighting={"kind": "power_complement", "alpha": math.inf}),
          "game.players[0].weighting: "),
         (smartgrid_variant(generation={"support_min": 0, "pmf": [0.5, math.nan, 0.5]}),
@@ -376,12 +397,25 @@ def smartgrid_variant(**prosumer0):
          "smartgrid.prosumers[0].generation.pmf: "),
         (smartgrid_variant(weighting={"kind": "table", "points": [[0, 0], [1]]}),
          "smartgrid.prosumers[0].weighting: table weighting point [1] is not a (y, w) pair"),
+        # the pmf keeps the sum tolerance, but the kernel row that groups its
+        # masses at the battery bounds sums to just outside it
+        (smartgrid_variant(generation={"support_min": -1, "pmf": [0.1, 0.1, 0.1, 0.699999999999]}),
+         "smartgrid: kernel of player 0: distribution sums to 0.999999999999 at (t=1, s=0, a=0)"),
+        (one_player_config(weighting={"kind": "cubic"}),
+         "game.players[0].weighting.kind: unknown weighting kind 'cubic'"),
+        (smartgrid_variant(valuation={"kind": "prelec", "alpha": 0.5}),
+         "smartgrid.prosumers[0].valuation.kind: unknown valuation kind 'prelec'"),
+        (smartgrid_variant(weighting={"kind": ["prelec"]}),
+         "smartgrid.prosumers[0].weighting.kind: unknown weighting kind ['prelec']"),
+        (smartgrid_variant(weighting={"kind": "table", "points": 5}),
+         "smartgrid.prosumers[0].weighting.points: expected a list, got 5"),
     ],
     ids=[
         "kernel-nan", "alpha-inf", "pmf-nan", "variance-inf", "support-inf", "knot-nan", "c2-inf",
         "c1-nan", "valuation-overflow", "values-string", "satisfaction-list", "generation-number",
         "satisfaction-nan", "storage-cost-inf", "prosumer-number", "support-fractional",
-        "support-three", "pmf-sum", "pmf-object", "knot-not-pair",
+        "support-three", "pmf-sum", "pmf-object", "knot-not-pair", "kernel-row", "weighting-kind",
+        "valuation-kind", "kind-list", "points-number",
     ],
 )
 def test_solve_rejects_non_finite_game_inputs(tmp_path, capsys, doc, message):
@@ -596,7 +630,8 @@ def test_certify_reproduces_solve_gaps(tmp_path):
     pick = lambda lines, tag: [l for l in lines if l.lstrip().startswith(tag)]
     for tag in ("value:", "best_response:", "gap:"):
         assert pick(solve_lines, tag) == pick(certify_lines, tag)
-    assert certify_lines[0] == "passed: true"
+    assert certify_lines[:2] == ["passed: true", "mode: certify"]
+    assert "final_delta: n/a" in certify_lines
 
 
 def test_certify_rejects_short_profile(tmp_path, capsys):
@@ -738,6 +773,44 @@ def test_build_smartgrid_round_trip(tmp_path):
         assert np.array_equal(
             rebuilt.game.players[i].kernel.probs, reference.players[i].kernel.probs
         )
+
+
+def test_build_smartgrid_round_trips_every_distortion_kind(tmp_path):
+    doc = json.loads(BUNDLED_CONFIG.read_text())
+    prosumer = doc["smartgrid"]["prosumers"][0]
+    distortions = [
+        ({"kind": "identity"}, None),
+        ({"kind": "prelec", "alpha": 0.65}, {"kind": "identity"}),
+        ({"kind": "power_complement", "alpha": 1.75},
+         {"kind": "piecewise_power", "c1": 0.5, "c2": 2.25, "c3": 0.3}),
+        ({"kind": "table", "points": [[0, 0], [0.25, 0.4], [1, 1]]},
+         {"kind": "piecewise_power", "c1": 1.5, "c2": 1.0, "c3": 0.7}),
+    ]
+    doc["smartgrid"]["prosumers"] = []
+    for weighting, valuation in distortions:
+        entry = {k: v for k, v in prosumer.items() if k not in ("weighting", "valuation")}
+        entry["weighting"] = weighting
+        if valuation is not None:  # an absent valuation is the identity
+            entry["valuation"] = valuation
+        doc["smartgrid"]["prosumers"].append(entry)
+    doc["run"]["x"] = [0] * len(distortions)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "export"
+    assert run_cli("build-smartgrid", "--config", cfg, "--out", out) == 0
+    exported = json.loads((out / "game.json").read_text())["game"]["players"]
+    assert [p["weighting"]["kind"] for p in exported] == [
+        "identity", "prelec", "power_complement", "table"
+    ]
+    assert [p["valuation"]["kind"] for p in exported] == [
+        "identity", "identity", "piecewise_power", "piecewise_power"
+    ]
+    original = cli.load_config(cfg).game
+    rebuilt = cli.load_config(out / "game.json").game
+    assert np.array_equal(rebuilt.payoff_table, original.payoff_table)
+    for before, after in zip(original.players, rebuilt.players):
+        assert after.weighting == before.weighting
+        assert after.valuation == before.valuation
+        assert np.array_equal(after.kernel.probs, before.kernel.probs)
 
 
 def test_build_smartgrid_requires_smartgrid_section(tmp_path):

@@ -1,10 +1,12 @@
 """Distortion functions, kernels, and game validation."""
 import math
+import re
 
 import numpy as np
 import pytest
 
 import ptgames as pg
+from ptgames.game import _distribution_problem
 from helpers import random_game, weighting_by_mask
 
 # exp(-(ln 2)**0.8) evaluated at 40 decimal digits with mpmath, frozen here.
@@ -223,16 +225,42 @@ def test_minimal_game_validates():
 
 
 def test_row_sum_violation_reported_with_indices():
-    player = pg.PlayerSpec(
-        state_count=1, action_count=1, kernel=chain([[[0.9]]])
-    )
-    with pytest.raises(pg.GameValidationError) as err:
-        pg.validate_game(
-            pg.GameSpec(players=(player,), discount_beta=0.5, payoff=np.zeros((1, 1, 1)))
-        )
-    (violation,) = err.value.violations
-    assert "row sum 0.9" in violation
-    assert "(player 0, t=1, s=0, a=0)" in violation
+    with pytest.raises(ValueError, match=re.escape("distribution sums to 0.9 at (t=1, s=0, a=0)")):
+        chain([[[0.9]]])
+    stages = np.array([np.eye(2)[:, np.newaxis]] * 3)
+    stages[2, 1, 0] = (0.5, 0.25)
+    with pytest.raises(ValueError, match=re.escape("distribution sums to 0.75 at (t=3, s=1, a=0)")):
+        pg.TransitionKernel.nonstationary(stages)
+
+
+def keeps_rule_row_by_row(values, rule):
+    """Whether every row along the last axis keeps ``rule``, one row at a time."""
+    rows = values.reshape(int(np.prod(values.shape[:-1])), values.shape[-1])
+    for row in rows:
+        if not np.isfinite(row).all() or (rule != "finite" and (row < 0.0).any()):
+            return False
+        if rule == "distribution" and abs(row.sum() - 1.0) > 1e-12:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("rule", ["distribution", "nonnegative", "finite"])
+def test_probability_rule_accepts_exactly_the_rows_that_keep_it(rule):
+    rng = np.random.default_rng(3)
+    tables = [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 3, 0))]
+    for _ in range(200):
+        table = rng.dirichlet(np.ones(3), size=(2, 2))
+        k = tuple(rng.integers(0, 2, size=2)) + (int(rng.integers(0, 3)),)
+        table[k] += rng.choice([0.0, 0.5e-12, 2e-12, -2e-12, -1.0, -0.0, np.nan, np.inf])
+        if rng.random() < 0.2:
+            table[k] = -1e-300
+        tables.append(table)
+    outcomes = set()
+    for table in tables:
+        keeps = keeps_rule_row_by_row(table, rule)
+        outcomes.add(keeps)
+        assert (_distribution_problem(table, rule) is None) == keeps, table
+    assert outcomes == {True, False}
 
 
 def test_discount_factor_bounds_rejected():
@@ -250,7 +278,9 @@ def test_discount_factor_bounds_rejected():
 
 
 def test_all_violations_reported_together():
-    bad_kernel = pg.PlayerSpec(state_count=1, action_count=1, kernel=chain([[[0.8]]]))
+    # kernel rows are refused when the kernel is built, so the bad kernel
+    # here is one of the wrong shape
+    bad_kernel = pg.PlayerSpec(state_count=1, action_count=1, kernel=chain([[[0.5, 0.5]]] * 2))
     with pytest.raises(pg.GameValidationError) as err:
         pg.validate_game(
             pg.GameSpec(
@@ -260,24 +290,17 @@ def test_all_violations_reported_together():
             )
         )
     text = "; ".join(err.value.violations)
-    assert "row sum" in text
+    assert "kernel of player 0 has shape (2, 1, 2), expected (1, 1, 1)" in text
     assert "discount factor" in text
     assert "non-finite payoff" in text
 
 
 def test_negative_probability_reported():
-    player = pg.PlayerSpec(
-        state_count=2,
-        action_count=1,
-        kernel=chain([[[1.5, -0.5]], [[0.0, 1.0]]]),
-    )
-    with pytest.raises(pg.GameValidationError) as err:
-        pg.validate_game(
-            pg.GameSpec(
-                players=(player,), discount_beta=0.5, payoff=np.zeros((1, 2, 1))
-            )
-        )
-    assert any("negative probability" in v for v in err.value.violations)
+    with pytest.raises(ValueError, match=re.escape("negative probability -0.5 at (t=1, s=0, a=0)")):
+        chain([[[1.5, -0.5]], [[0.0, 1.0]]])
+    # a non-finite entry is named before a negative one in an earlier row
+    with pytest.raises(ValueError, match=re.escape("non-finite probability inf at (t=1, s=1, a=0)")):
+        chain([[[1.5, -0.5]], [[np.inf, 1.0]]])
 
 
 def test_payoff_shape_mismatch_reported():

@@ -24,3 +24,13 @@ def test_readme_cli_lines_parse():
     for argv in lines:
         parser.parse_args(argv)  # an unknown or missing flag exits 2
     assert {argv[0] for argv in lines} == {"solve", "certify", "marginals", "build-smartgrid", "bound"}
+
+
+def test_readme_distortion_kinds_match_the_config_schema():
+    text = README.read_text()
+    block = text[text.index("## Config format"):text.index("The `smartgrid` section")]
+    listed = dict(re.findall(r'"(weighting|valuation)": \{[^\n]*\n\s*// kinds: ([^\n]*)', block))
+    assert set(listed) == set(cli._DISTORTIONS)
+    for section, line in listed.items():
+        kinds = [entry.split()[0] for entry in line.split("|")]
+        assert kinds == list(cli._DISTORTIONS[section]), section
