@@ -29,7 +29,6 @@ from .marginals import (
 )
 from .criterion import (
     PTPayoffReport,
-    TruncationParams,
     lipschitz_delta,
     pt_payoff,
     truncation_error_bound,
@@ -43,7 +42,6 @@ from .best_response import (
 )
 from .search import (
     EquilibriumCertificate,
-    EquilibriumNotFoundError,
     GridTooLargeError,
     ProfileGrid,
     SearchConfig,
@@ -83,7 +81,6 @@ __all__ = [
     "forward_marginals",
     "strategy_from_marginals",
     "PTPayoffReport",
-    "TruncationParams",
     "lipschitz_delta",
     "pt_payoff",
     "truncation_error_bound",
@@ -93,7 +90,6 @@ __all__ = [
     "backward_induction",
     "induced_stage_rewards",
     "EquilibriumCertificate",
-    "EquilibriumNotFoundError",
     "GridTooLargeError",
     "ProfileGrid",
     "SearchConfig",

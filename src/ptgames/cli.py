@@ -39,16 +39,11 @@ from .game import (
     ValidatedGame,
     ValuationFunction,
     WeightingFunction,
+    _is_integer,
     validate_game,
 )
 from .marginals import MarkovStrategy, _check_tables, forward_marginals
-from .search import (
-    EquilibriumNotFoundError,
-    GridTooLargeError,
-    SearchConfig,
-    certify,
-    search_equilibrium,
-)
+from .search import GridTooLargeError, SearchConfig, certify, search_equilibrium
 from .smartgrid import (
     GenerationDistribution,
     ProsumerSpec,
@@ -96,7 +91,7 @@ def _require(mapping: dict, key: str, path: str):
 
 
 def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value
 
@@ -409,7 +404,7 @@ def _certificate_lines(cert) -> list:
         f"passed: {'true' if cert.passed else 'false'}",
         f"mode: {cert.mode}",
         f"epsilon: {_fmt(cert.epsilon)}",
-        f"deviation_allowance: {_fmt(cert.epsilon / 3.0)}",
+        f"deviation_allowance: {_fmt(cert.allowance)}",
         f"horizon: {cert.horizon}",
         f"candidates_examined: {cert.candidates_examined}",
         f"final_delta: {_fmt(cert.final_delta) if cert.final_delta is not None else 'n/a'}",
@@ -485,18 +480,22 @@ def _cmd_solve(args) -> int:
     started = time.perf_counter()
     try:
         cert = search_equilibrium(cfg.game, cfg.initial_state, search)
-    except EquilibriumNotFoundError as exc:
-        cert = exc.best_certificate
-        print(f"solve: {exc}", file=sys.stderr)
     except GridTooLargeError as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - started
+    if not cert.passed:
+        print(
+            f"solve: no profile passed certification within {cert.levels} grid level(s); "
+            f"best worst-case gap {cert.worst_gap:.6g} against allowance {cert.allowance:.6g}"
+            + ("" if cert.stop is None else f"; refinement stopped: {cert.stop}"),
+            file=sys.stderr,
+        )
     outdir = _outdir(args)
     _write_solve_artifacts(outdir, cert)
     print(
         f"solve: {'passed' if cert.passed else 'best candidate only'}; "
-        f"worst gap {np.max(cert.gaps):.6g} (allowance {search.epsilon / 3.0:.6g}); "
+        f"worst gap {cert.worst_gap:.6g} (allowance {cert.allowance:.6g}); "
         f"artifacts in {outdir}"
     )
     _write_run_log(outdir, cert, wall)
@@ -512,7 +511,7 @@ def _cmd_certify(args) -> int:
     write_certificate(_outdir(args) / "certificate.txt", replace(cert, mode="certify"))
     print(
         f"certify: {'passed' if cert.passed else 'failed'}; worst gap "
-        f"{np.max(cert.gaps):.6g} (allowance {search.epsilon / 3.0:.6g})"
+        f"{cert.worst_gap:.6g} (allowance {cert.allowance:.6g})"
     )
     return 0 if cert.passed else 1
 
@@ -579,13 +578,13 @@ def _cmd_build_smartgrid(args) -> int:
 def _cmd_bound(args) -> int:
     cfg = load_config(args.config)
     epsilon = _search_settings(cfg, args).epsilon
-    params = truncation_horizon(epsilon, cfg.game)
-    tail = truncation_error_bound(cfg.game, params.horizon)
+    horizon = truncation_horizon(epsilon, cfg.game)
+    tail = truncation_error_bound(cfg.game, horizon)
     print(f"epsilon: {_fmt(epsilon)}")
-    print(f"horizon: {params.horizon}")
+    print(f"horizon: {horizon}")
     for i in range(cfg.game.n):
         print(
-            f"player {i}: value_bound {_fmt(params.value_bounds[i])}, "
+            f"player {i}: value_bound {_fmt(cfg.game.value_bounds[i])}, "
             f"tail_bound {_fmt(tail[i])}"
         )
     try:

@@ -8,12 +8,13 @@ marginal probabilities.  Because the chains are independent, the whole
 objective is a function of the per-player marginal tables alone and is
 linear in the player's own table.
 
-Discounting makes the infinite sum approximable by a finite one:
-``truncation_horizon`` returns the stage count whose tail bound is below a
-third of the target accuracy, ``truncation_error_bound`` exposes the bound
-itself, and ``lipschitz_delta`` converts the same kind of bound into a
-simplex grid step fine enough for grid search (only available when every
-weighting function is Lipschitz, which rules out prelec).
+Discounting makes the infinite sum approximable by a finite one.  The
+target accuracy splits into ``_EPSILON_SHARES`` equal shares: one is each
+player's deviation allowance, and ``truncation_horizon`` returns the stage
+count whose tail bound is within another.  ``truncation_error_bound``
+exposes the bound itself, and ``lipschitz_delta`` converts the same kind of
+bound into a simplex grid step fine enough for grid search (only available
+when every weighting function is Lipschitz, which rules out prelec).
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .marginals import _check_tables
 
 __all__ = [
     "PTPayoffReport",
-    "TruncationParams",
     "pt_payoff",
     "truncation_horizon",
     "truncation_error_bound",
@@ -51,24 +51,20 @@ class PTPayoffReport:
         return float(self.values[player])
 
 
-@dataclass(frozen=True)
-class TruncationParams:
-    """Horizon certified to approximate the infinite sum within epsilon/3.
+# The one home of the epsilon split: the deviation allowance is one share,
+# and the tails of the profile's and the best response's values one each.
+_EPSILON_SHARES = 3.0
 
-    ``value_bounds[i]`` is the exact maximum of |v_i(r_i)| used in the tail
-    bound; the horizon is floored at 1 (stage counts below 1 are meaningless
-    even when the bound would allow them).
-    """
 
-    epsilon: float
-    horizon: int
-    value_bounds: np.ndarray
+def _deviation_allowance(epsilon: float) -> float:
+    """The most a player may gain by deviating in a passing profile."""
+    return epsilon / _EPSILON_SHARES
 
 
 def _check_epsilon(epsilon: float) -> None:
     """The one accuracy rule: epsilon is a positive, finite number.  The
     message starts with the field name, which callers may prefix."""
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
+    if isinstance(epsilon, bool) or not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon: must be positive and finite, got {epsilon}")
 
 
@@ -126,16 +122,15 @@ def pt_payoff(game: ValidatedGame, marginals, horizon: int) -> PTPayoffReport:
     )
 
 
-def truncation_horizon(epsilon: float, game: ValidatedGame) -> TruncationParams:
-    """Smallest stage count (floored at 1) whose stated tail bound is at most
-    ``epsilon``/3 for every player.
+def truncation_horizon(epsilon: float, game: ValidatedGame) -> int:
+    """Smallest stage count (floored at 1) whose tail bound is at most one
+    share of ``epsilon``, the deviation allowance, for every player.
 
     Players whose payoffs value to zero everywhere put no constraint on the
     horizon; if that is all of them, any horizon works and 1 is returned.
     """
     _check_epsilon(epsilon)
-    horizon = _horizon(game, math.log(epsilon))
-    return TruncationParams(epsilon=epsilon, horizon=horizon, value_bounds=np.array(game.value_bounds))
+    return _horizon(game, math.log(epsilon))
 
 
 def _joint_pair_count(game: ValidatedGame) -> int:
@@ -144,13 +139,13 @@ def _joint_pair_count(game: ValidatedGame) -> int:
 
 
 def _horizon(game: ValidatedGame, log_epsilon: float) -> int:
-    """Smallest stage count (floored at 1) whose tail bound is at most
-    exp(``log_epsilon``)/3 for every player.  The tail bound is inverted in
-    log space, so an epsilon whose allowance underflows a float still gets
-    its horizon."""
+    """Smallest stage count (floored at 1) whose tail bound is at most one
+    share of exp(``log_epsilon``) for every player.  The tail bound is
+    inverted in log space, so an epsilon whose allowance underflows a float
+    still gets its horizon."""
     beta = game.discount_beta
     sizes = _joint_pair_count(game)
-    log_allowance = math.log((1.0 - beta) / 3.0) + log_epsilon
+    log_allowance = math.log((1.0 - beta) / _EPSILON_SHARES) + log_epsilon
     worst = 1
     for bound in game.value_bounds:
         if bound > 0.0:

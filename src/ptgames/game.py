@@ -14,7 +14,8 @@ and the per-player valued payoff tables cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -93,7 +94,24 @@ def _distribution_problem(values: np.ndarray, rule: str = "distribution"):
     return None
 
 
+def _is_integer(value) -> bool:
+    """The one integer rule: an integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 # ---------- distortion functions ----------
+
+
+def _check_kind(distortion, reads: dict, noun: str) -> None:
+    """Refuse an unknown kind of the ``noun`` ``distortion``, and a field
+    that its kind does not read (by ``reads``) unless it keeps its default."""
+    kind = distortion.kind
+    if not (isinstance(kind, str) and kind in reads):
+        raise ValueError(f"unknown {noun} kind {kind!r}")
+    for unread in fields(distortion)[1:]:
+        value = getattr(distortion, unread.name)
+        if unread.name not in reads[kind] and value != unread.default:
+            raise ValueError(f"{kind} {noun} does not read {unread.name}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +131,7 @@ class WeightingFunction:
                                knots; first knot must be (0, 0), last (1, 1).
 
     Every kind satisfies w(0) = 0, w(1) = 1, is continuous and stays inside
-    [0, 1].
+    [0, 1].  A parameter that the kind does not read keeps its default.
     """
 
     kind: str
@@ -121,9 +139,14 @@ class WeightingFunction:
     knots_y: tuple = ()
     knots_w: tuple = ()
 
+    # the fields each kind reads
+    _READS = {"identity": (), "prelec": ("alpha",), "power_complement": ("alpha",),
+              "table": ("knots_y", "knots_w")}
+
     def __post_init__(self):
         if not all(map(math.isfinite, (self.alpha, *self.knots_y, *self.knots_w))):
             raise ValueError("weighting parameters must be finite")
+        _check_kind(self, self._READS, "weighting")
         if self.kind == "prelec":
             if not 0.0 < self.alpha <= 1.0:
                 raise ValueError(f"prelec exponent must lie in (0,1], got {self.alpha}")
@@ -142,8 +165,6 @@ class WeightingFunction:
                 raise ValueError("table weighting knots must have strictly increasing y")
             if any(not 0.0 <= w <= 1.0 for w in ws):
                 raise ValueError("table weighting values must lie in [0,1]")
-        elif self.kind != "identity":
-            raise ValueError(f"unknown weighting kind {self.kind!r}")
 
     @staticmethod
     def prelec(alpha: float) -> "WeightingFunction":
@@ -239,16 +260,16 @@ class ValuationFunction:
     loss_scale: float = 1.0
     loss_exponent: float = 1.0
 
+    _READS = {"identity": (), "piecewise_power": ("gain_exponent", "loss_scale", "loss_exponent")}
+
     def __post_init__(self):
+        _check_kind(self, self._READS, "valuation")
         if self.kind == "piecewise_power":
-            constants = (self.gain_exponent, self.loss_scale, self.loss_exponent)
-            if not all(math.isfinite(c) and c > 0.0 for c in constants):
+            if not all(math.isfinite(c) and c > 0.0 for c in self.arguments):
                 raise ValueError(
                     "piecewise_power constants must all be positive and finite, got "
                     f"({self.gain_exponent}, {self.loss_scale}, {self.loss_exponent})"
                 )
-        elif self.kind != "identity":
-            raise ValueError(f"unknown valuation kind {self.kind!r}")
 
     @staticmethod
     def piecewise_power(c1: float, c2: float, c3: float) -> "ValuationFunction":
@@ -266,8 +287,7 @@ class ValuationFunction:
     @property
     def arguments(self) -> tuple:
         """The arguments of this kind's constructor, in order."""
-        constants = (self.gain_exponent, self.loss_scale, self.loss_exponent)
-        return () if self.kind == "identity" else constants
+        return tuple(getattr(self, name) for name in self._READS[self.kind])
 
     def __call__(self, y):
         """Evaluate the valuation; accepts scalars or arrays of payoffs."""

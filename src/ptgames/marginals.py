@@ -17,13 +17,12 @@ carry no mass).
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .game import ValidatedGame, _distribution_problem
+from .game import ValidatedGame, _distribution_problem, _is_integer
 
 __all__ = [
     "MarkovStrategy",
@@ -50,16 +49,16 @@ def _check_tables(game, tables=None, horizon=None, initial_state=None, player=No
     ``player`` is the player the call is about: the one table must be
     theirs, and their entry in a sequence is not read (it may be None).
     ``initial_state`` is the one table's start state, or one per player;
-    start states and player indices are integers.  ``horizon`` is an
-    integer, at least 1, and every table must cover it.  Only the horizon
-    rule runs when ``game`` is None.
+    start states and player indices are integers (``_is_integer``).
+    ``horizon`` is an integer, at least 1, and every table must cover it.
+    Only the horizon rule runs when ``game`` is None.
     """
-    if horizon is not None and not (isinstance(horizon, numbers.Integral) and horizon >= 1):
+    if horizon is not None and not (_is_integer(horizon) and horizon >= 1):
         raise ValueError(f"horizon: must be an integer >= 1, got {horizon}")
     single = isinstance(tables, _PlayerTable)
     if single and player is None:
         player = tables.player
-    if player is not None and not (isinstance(player, numbers.Integral) and 0 <= player < game.n):
+    if player is not None and not (_is_integer(player) and 0 <= player < game.n):
         raise ValueError(f"player index {player} outside 0..{game.n - 1}")
     if single:
         entries = {player: tables}
@@ -77,7 +76,8 @@ def _check_tables(game, tables=None, horizon=None, initial_state=None, player=No
     for j, table in entries.items():
         if table is None:
             raise ValueError(f"player {j}: table is missing")
-        if table.player != j:
+        # True == 1, so the position alone would let a bool through
+        if not (_is_integer(table.player) and table.player == j):
             raise ValueError(f"player {j}: {table.noun} belongs to player {table.player}")
         sizes = (table.state_count, table.action_count)
         declared = (game.players[j].state_count, game.players[j].action_count)
@@ -89,7 +89,7 @@ def _check_tables(game, tables=None, horizon=None, initial_state=None, player=No
             )
     for j, s in starts.items():
         S = game.players[j].state_count
-        if not (isinstance(s, numbers.Integral) and 0 <= s < S):
+        if not (_is_integer(s) and 0 <= s < S):
             raise ValueError(f"initial state {s} of player {j} outside 0..{S - 1}")
 
 

@@ -1,14 +1,15 @@
 """Search for certified Markov epsilon-equilibria on simplex grids.
 
 A profile passes certification when every player's truncated distorted value
-is within epsilon/3 of that player's exact best-response value against the
-others; by the truncation bounds this makes the profile an epsilon-
-equilibrium of the infinite-horizon game.  The candidate set is the grid of
-profiles whose per-(stage, state) action distributions have coordinates on a
-uniform simplex lattice.  ``search_equilibrium`` scans one lattice level at
-a time and picks each level's candidates from its size: a level that fits
-the ``max_candidates`` budget is enumerated in a fixed order, a larger one
-is sampled uniformly without replacement.  An exhausted level doubles the
+is within the deviation allowance (``criterion._deviation_allowance``) of
+that player's exact best-response value against the others; by the
+truncation bounds this makes the profile an epsilon-equilibrium of the
+infinite-horizon game.  The candidate set is the grid of profiles whose
+per-(stage, state) action distributions have coordinates on a uniform
+simplex lattice.  ``search_equilibrium`` scans one lattice level at a time
+and picks each level's candidates from its size: a level that fits the
+``max_candidates`` budget is enumerated in a fixed order, a larger one is
+sampled uniformly without replacement.  An exhausted level doubles the
 lattice's integer resolution (halving its step), up to a refinement cap.
 Enumeration certifies only the profiles that are 0 in every dead cell, a
 (player, stage, state) that the player's chain cannot reach: the others
@@ -18,28 +19,26 @@ There is one certification pass, ``_evaluate``: stage marginals, then per
 player stage terms and backward induction, for a block of profiles at once.
 The search runs it on blocks of lattice index rows with the best worst gap
 so far as a cutoff, so a row is dropped at the first player whose gap
-reaches it, and builds the winner's certificate from the winning row, which
-is always evaluated in full.  ``certify`` runs it on a block of one profile
-without a cutoff.  Both certificates come from the same operations, so they
-agree bit for bit.
+reaches it; the row it returns, the first passing one or else the best, is
+always evaluated in full.  ``certify`` runs it on a block of one profile
+without a cutoff.  Either way an :class:`EquilibriumCertificate`, which
+derives its verdict itself, is the result, and both agree bit for bit.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .best_response import _backward
-from .criterion import _check_epsilon, _stage_terms, truncation_horizon
-from .game import ValidatedGame
+from .criterion import _check_epsilon, _deviation_allowance, _stage_terms, truncation_horizon
+from .game import ValidatedGame, _is_integer
 from .marginals import MarkovStrategy, _check_tables, _propagate, _reachable
 
 __all__ = [
     "GridTooLargeError",
-    "EquilibriumNotFoundError",
     "SearchConfig",
     "EquilibriumCertificate",
     "simplex_grid",
@@ -64,25 +63,6 @@ _LATTICE_ENTRIES = 2**24
 
 class GridTooLargeError(RuntimeError):
     """A lattice is too fine to build."""
-
-
-class EquilibriumNotFoundError(RuntimeError):
-    """No profile passed certification within the refinement cap.
-
-    ``best_certificate`` keeps the closest candidate found (smallest worst
-    gap) so callers can report how near the search came; ``stop`` says why
-    refinement ended before the cap, when it did.
-    """
-
-    def __init__(self, best_certificate, levels: int, stop: str | None = None):
-        self.best_certificate = best_certificate
-        self.levels = levels
-        gap = float(np.max(best_certificate.gaps))
-        super().__init__(
-            f"no profile passed certification within {levels} grid level(s); "
-            f"best worst-case gap {gap:.6g} against allowance {best_certificate.epsilon / 3.0:.6g}"
-            + ("" if stop is None else f"; refinement stopped: {stop}")
-        )
 
 
 @dataclass(frozen=True)
@@ -112,7 +92,7 @@ class SearchConfig:
         _resolution(self.initial_delta, "initial_delta")
         for name, low in (("max_candidates", 1), ("seed", 0), ("refinement_cap", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
+            if not (_is_integer(value) and value >= low):
                 raise ValueError(f"{name}: must be an integer >= {low}, got {value}")
         _check_tables(None, horizon=self.horizon)
 
@@ -120,32 +100,50 @@ class SearchConfig:
         """The set ``horizon``, else the truncation horizon for ``epsilon``."""
         if self.horizon is not None:
             return self.horizon
-        return truncation_horizon(self.epsilon, game).horizon
+        return truncation_horizon(self.epsilon, game)
 
 
 @dataclass(frozen=True)
 class EquilibriumCertificate:
-    """Per-player evidence that a profile is (or is not) close to optimal.
+    """Per-player evidence that a profile is (or is not) close to optimal,
+    and the one record of that verdict.
 
     ``values[i]`` is the truncated distorted value achieved by the profile,
-    ``best_values[i]`` the exact best-response value against the others, and
-    ``gaps[i]`` their difference (nonnegative up to numerics).  ``passed``
-    holds exactly when the largest gap is at most epsilon/3 plus slack.
-    ``candidates_examined``, ``final_delta`` and ``mode`` (how the final
-    level was scanned: ``"grid"`` or ``"sampled"``) are filled in by the
-    search.
+    ``best_values[i]`` the exact best-response value against the others;
+    construction derives ``gaps[i]``, their difference (nonnegative up to
+    numerics), and ``passed``: ``worst_gap`` is at most ``allowance`` plus
+    slack.  The search fills in ``candidates_examined``, ``final_delta``,
+    ``mode`` (how the final level was scanned: ``"grid"`` or ``"sampled"``),
+    ``levels`` (lattice levels scanned) and ``stop`` (why refinement ended
+    before its cap, when it did).
     """
 
     profile: tuple
     values: np.ndarray
     best_values: np.ndarray
-    gaps: np.ndarray
     epsilon: float
     horizon: int
-    passed: bool
     candidates_examined: int = 1
     final_delta: float | None = None
     mode: str | None = None
+    levels: int | None = None
+    stop: str | None = None
+    gaps: np.ndarray = field(init=False)
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gaps", self.best_values - self.values)
+        object.__setattr__(self, "passed", bool(_passes(self.worst_gap, self.epsilon)))
+
+    @property
+    def worst_gap(self) -> float:
+        """The largest player's gain from deviating."""
+        return float(np.max(self.gaps))
+
+    @property
+    def allowance(self) -> float:
+        """The most a player may gain by deviating in a passing profile."""
+        return _deviation_allowance(self.epsilon)
 
 
 def simplex_grid(action_count: int, delta: float) -> np.ndarray:
@@ -214,7 +212,7 @@ class ProfileGrid:
 
     def __init__(self, game: ValidatedGame, horizon: int, resolution: int):
         _check_tables(game, horizon=horizon)
-        if not (isinstance(resolution, numbers.Integral) and resolution >= 1):
+        if not (_is_integer(resolution) and resolution >= 1):
             raise ValueError(f"resolution must be an integer >= 1, got {resolution}")
         self.game = game
         self.horizon = horizon
@@ -380,22 +378,8 @@ def _worst_gaps(gaps: np.ndarray) -> np.ndarray:
 
 def _passes(worst, epsilon: float):
     """The pass rule on a profile's largest gap ``worst`` (or an array of
-    them): no player gains more than epsilon/3 plus slack by deviating."""
-    return worst <= epsilon / 3.0 + PASS_SLACK
-
-
-def _certificate(profile, values, best_values, epsilon, horizon, **search) -> EquilibriumCertificate:
-    gaps = best_values - values
-    return EquilibriumCertificate(
-        profile=profile,
-        values=values,
-        best_values=best_values,
-        gaps=gaps,
-        epsilon=epsilon,
-        horizon=horizon,
-        passed=bool(_passes(np.max(gaps), epsilon)),
-        **search,
-    )
+    them): no player gains more than the deviation allowance plus slack."""
+    return worst <= _deviation_allowance(epsilon) + PASS_SLACK
 
 
 def certify(
@@ -408,22 +392,24 @@ def certify(
     """Check the sufficient equilibrium condition for one profile.
 
     Computes every player's truncated distorted value under the profile and
-    the exact best-response value against the frozen opponents; the profile
-    passes when no player can gain more than ``epsilon``/3 (plus numerical
-    slack) by deviating.
+    the exact best-response value against the frozen opponents, and returns
+    their certificate: the profile passes when no player can gain more than
+    the deviation allowance (one share of ``epsilon``, plus numerical slack)
+    by deviating.  A failing profile is a result too, not an error.
     """
     _check_epsilon(epsilon)
     x = tuple(initial_state)
     profile = tuple(profile)
     _check_tables(game, profile, horizon, x)
     values, best_values = _evaluate(game, [s.dist[np.newaxis] for s in profile], x, horizon)
-    return _certificate(profile, values[0], best_values[0], epsilon, horizon)
+    return EquilibriumCertificate(profile, values[0], best_values[0], epsilon, horizon)
 
 
 def search_equilibrium(
     game: ValidatedGame, initial_state, config: SearchConfig
 ) -> EquilibriumCertificate:
-    """Return the first lattice profile that passes certification.
+    """Return the certificate of the first lattice profile that passes
+    certification, or of the best candidate when none does.
 
     Each level's size picks its candidates: a level of at most
     ``max_candidates`` profiles is scanned in enumeration order (certifying
@@ -434,8 +420,10 @@ def search_equilibrium(
     passing row's certificate is built from its own values.
     ``initial_delta`` is rounded to a resolution once; an exhausted level
     doubles it, up to ``refinement_cap`` times (stopping before a lattice
-    too fine to build); then :class:`EquilibriumNotFoundError` carries the
-    certificate of the first candidate with the smallest worst gap.
+    too fine to build).  Exhausting them returns the certificate of the
+    first candidate with the smallest worst gap, with ``passed`` false;
+    ``levels`` and ``stop`` say how far the search went.  A first level too
+    fine to build raises :class:`GridTooLargeError`.
     """
     x = tuple(initial_state)
     _check_tables(game, initial_state=x)
@@ -476,10 +464,10 @@ def search_equilibrium(
                 # an enumerated level counts every profile up to the winner,
                 # skipped ones included
                 before = _position(block[r], grid) if enumerated else r
-                return _certificate(
+                return EquilibriumCertificate(
                     grid.profile_at(block[r]), values[r], best_values[r], config.epsilon,
                     horizon, candidates_examined=examined + before + 1, final_delta=grid.delta,
-                    mode=mode,
+                    mode=mode, levels=levels,
                 )
             r = int(np.argmin(worst))
             if best is None or worst[r] < best[0]:
@@ -489,8 +477,7 @@ def search_equilibrium(
         if enumerated:
             examined += grid.total_profiles
     _, where, indices, values, best_values = best
-    cert = _certificate(
+    return EquilibriumCertificate(
         where.profile_at(indices), values, best_values, config.epsilon, horizon,
-        candidates_examined=examined, final_delta=grid.delta, mode=mode,
+        candidates_examined=examined, final_delta=grid.delta, mode=mode, levels=levels, stop=stop,
     )
-    raise EquilibriumNotFoundError(cert, levels, stop)

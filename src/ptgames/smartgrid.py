@@ -25,7 +25,6 @@ valuation).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -39,6 +38,7 @@ from .game import (
     ValuationFunction,
     WeightingFunction,
     _distribution_problem,
+    _is_integer,
     validate_game,
 )
 
@@ -67,7 +67,7 @@ class GenerationDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.start, numbers.Integral):
+        if not _is_integer(self.start):
             raise ValueError(f"start must be an integer, got {self.start!r}")
         arr = np.array(self.pmf, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
@@ -105,7 +105,7 @@ def discretize_gaussian(
         hi = math.ceil(mu + 4.0 * sigma)
     else:
         if not (np.ndim(support) == 1 and len(support) == 2
-                and all(isinstance(v, numbers.Integral) for v in support)):
+                and all(map(_is_integer, support))):
             raise ValueError(f"support must be two integers, got {support!r}")
         lo, hi = int(support[0]), int(support[1])
         if hi < lo:
@@ -150,11 +150,11 @@ class ProsumerSpec:
 
     def __post_init__(self):
         caps = (self.storage_cap, self.consumption_cap, self.demand_cap)
-        if not all(isinstance(c, numbers.Integral) and c >= 0 for c in caps):
+        if not all(_is_integer(c) and c >= 0 for c in caps):
             raise ValueError(
                 f"storage, consumption and demand caps must be integers >= 0, got {caps}"
             )
-        if not (isinstance(self.tau, numbers.Integral) and 0 <= self.tau <= self.storage_cap):
+        if not (_is_integer(self.tau) and 0 <= self.tau <= self.storage_cap):
             raise ValueError(
                 f"reserve target {self.tau} outside battery range 0..{self.storage_cap}"
             )

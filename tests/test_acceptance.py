@@ -38,13 +38,13 @@ def test_reference_instance_builds_fast_with_short_horizon():
     budget = 1.0
     started = time.perf_counter()
     game = pg.build_simulation_game()
-    params = pg.truncation_horizon(0.01, game)
+    horizon = pg.truncation_horizon(0.01, game)
     elapsed = time.perf_counter() - started
-    assert params.horizon == 2
+    assert horizon == 2
     assert game.n == 3
     assert elapsed < budget
     report(1, "reference build", elapsed, budget,
-           f"horizon {params.horizon}, bounds {np.round(params.value_bounds, 4)}")
+           f"horizon {horizon}, bounds {np.round(game.value_bounds, 4)}")
 
 
 def test_forward_marginals_are_feasible_and_reconstructible():

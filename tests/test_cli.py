@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ptgames as pg
-from ptgames import cli, search
+from ptgames import cli, criterion, search
 from ptgames.marginals import _check_tables
 
 BUNDLED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartgrid.json"
@@ -562,6 +562,52 @@ def test_solve_not_found_keeps_best_candidate(tmp_path, capsys):
     assert "status: not-found" in (out / "run.log").read_text()
     captured = capsys.readouterr()
     assert "no profile passed certification" in captured.err
+
+
+def test_the_epsilon_split_has_one_home(tmp_path, capsys, monkeypatch):
+    # the pennies lattice at step 1/2 has best worst gap 0.25: within a
+    # third of epsilon 0.9 (0.3) but not within a quarter (0.225).  Four
+    # shares in criterion's one home move every verdict, every printed
+    # allowance and the truncation horizon together.
+    epsilon = 0.9
+    cfg = write_config(tmp_path, pennies_config(epsilon=epsilon))
+    game = cli.load_config(cfg).game
+    three_shares = pg.truncation_horizon(epsilon, game)
+    monkeypatch.setattr(criterion, "_EPSILON_SHARES", 4.0)
+    allowance = epsilon / 4.0
+
+    solved = tmp_path / "solve"
+    assert run_cli("solve", "--config", cfg, "--out", solved) == 1
+    text = (solved / "certificate.txt").read_text()
+    assert text.startswith("passed: false\n")
+    assert f"deviation_allowance: {format(allowance, '.17g')}\n" in text
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "solve: no profile passed certification within 1 grid level(s); "
+        f"best worst-case gap 0.25 against allowance {allowance:.6g}\n"
+    )
+    assert f"worst gap 0.25 (allowance {allowance:.6g}); " in captured.out
+
+    profile = solved / "plot_data.csv"
+    checked = tmp_path / "certify"
+    assert run_cli("certify", "--config", cfg, "--out", checked, "--profile", profile) == 1
+    assert f"deviation_allowance: {format(allowance, '.17g')}\n" in (
+        checked / "certificate.txt").read_text()
+    assert capsys.readouterr().out == f"certify: failed; worst gap 0.25 (allowance {allowance:.6g})\n"
+
+    # the tail takes one share too: the horizon is the first whose tail
+    # bound is within a quarter of epsilon
+    horizon = pg.truncation_horizon(epsilon, game)
+    tail = lambda m: np.max(pg.truncation_error_bound(game, m))
+    assert tail(horizon) <= allowance < tail(horizon - 1)
+    assert horizon > three_shares
+    assert run_cli("bound", "--config", cfg) == 0
+    assert f"horizon: {horizon}\n" in capsys.readouterr().out
+
+    # at three shares the same profile passes
+    monkeypatch.undo()
+    assert run_cli("certify", "--config", cfg, "--out", checked, "--profile", profile) == 0
+    assert capsys.readouterr().out == f"certify: passed; worst gap 0.25 (allowance {epsilon / 3.0:.6g})\n"
 
 
 def test_solve_samples_an_oversized_grid(tmp_path, capsys):

@@ -229,14 +229,13 @@ def unit_bound_game(beta):
 
 def test_truncation_horizon_frozen_example():
     game = unit_bound_game(0.5)
-    params = pg.truncation_horizon(0.1, game)
-    assert params.horizon == HORIZON_BETA_HALF_EPS_TENTH
-    assert params.value_bounds[0] == 1.0
+    assert pg.truncation_horizon(0.1, game) == HORIZON_BETA_HALF_EPS_TENTH
+    assert game.value_bounds[0] == 1.0
 
 
 def test_truncation_horizon_floors_at_one():
     game = unit_bound_game(0.5)
-    assert pg.truncation_horizon(1e6, game).horizon == 1
+    assert pg.truncation_horizon(1e6, game) == 1
 
 
 def test_truncation_horizon_ignores_zero_bound_players():
@@ -246,7 +245,7 @@ def test_truncation_horizon_ignores_zero_bound_players():
     game = pg.validate_game(
         pg.GameSpec(players=(player,), discount_beta=0.9, payoff=np.zeros((1, 1, 1)))
     )
-    assert pg.truncation_horizon(1e-9, game).horizon == 1
+    assert pg.truncation_horizon(1e-9, game) == 1
 
 
 def test_truncation_horizon_rejects_nonpositive_epsilon():
@@ -301,7 +300,7 @@ def test_smallest_positive_epsilon_gets_a_horizon():
     # the allowance (1 - beta) * epsilon / 3 of 5e-324 underflows to 0; the
     # tail bound 1 * 4 * 0.5**m / 0.5 is still inverted, in log space
     game = unit_bound_game(0.5)
-    horizon = pg.truncation_horizon(5e-324, game).horizon
+    horizon = pg.truncation_horizon(5e-324, game)
     log_tail = lambda m: math.log(4.0) + m * math.log(0.5) - math.log(0.5)
     assert log_tail(horizon) <= math.log(5e-324) - math.log(3.0) < log_tail(horizon - 1)
 

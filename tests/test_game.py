@@ -189,6 +189,36 @@ def test_piecewise_power_rejects_nonpositive_constants():
             pg.ValuationFunction.piecewise_power(c1, c2, c3)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: pg.WeightingFunction(kind="identity", alpha=5.0),
+     "identity weighting does not read alpha, got 5.0"),
+    (lambda: pg.WeightingFunction(kind="prelec", alpha=0.8, knots_y=(0.0, 0.5), knots_w=(1.0,)),
+     "prelec weighting does not read knots_y, got (0.0, 0.5)"),
+    (lambda: pg.WeightingFunction(kind="power_complement", alpha=2.0, knots_w=(0.0, 1.0)),
+     "power_complement weighting does not read knots_w, got (0.0, 1.0)"),
+    (lambda: pg.WeightingFunction(kind="table", alpha=2.0, knots_y=(0.0, 1.0), knots_w=(0.0, 1.0)),
+     "table weighting does not read alpha, got 2.0"),
+    (lambda: pg.ValuationFunction(kind="identity", gain_exponent=float("nan")),
+     "identity valuation does not read gain_exponent, got nan"),
+    (lambda: pg.ValuationFunction(kind="identity", loss_scale=2.0),
+     "identity valuation does not read loss_scale, got 2.0"),
+], ids=["identity-alpha", "prelec-knots", "power-knots", "table-alpha", "valuation-nan",
+        "valuation-scale"])
+def test_distortion_refuses_a_parameter_its_kind_does_not_read(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_distortion_accepts_unread_parameters_left_at_their_defaults():
+    W, V = pg.WeightingFunction, pg.ValuationFunction
+    assert W(kind="identity", alpha=1.0, knots_y=(), knots_w=()) == W.identity()
+    assert W(kind="prelec", alpha=0.5, knots_y=()) == W.prelec(0.5)
+    assert V(kind="identity", gain_exponent=1.0, loss_scale=1.0) == V.identity()
+    table = W.from_table([(0, 0), (0.5, 0.3), (1, 1)])
+    assert W(kind="table", alpha=1.0, knots_y=table.knots_y, knots_w=table.knots_w) == table
+
+
 # ---------- kernels ----------
 
 
@@ -417,3 +447,83 @@ def test_valued_payoffs_never_view_the_callers_payoff(state_counts):
     payoff[...] = -1.0
     for matrix, kept in zip(game.valued_payoffs, before):
         assert np.array_equal(matrix, kept)
+
+
+# ---------- the integer rule ----------
+
+BOOL_GAME = pg.build_simulation_game()  # 3 players, 3 states, 2 actions
+UNIFORM = tuple(
+    pg.MarkovStrategy(player=i, dist=np.full((2, 3, 2), 0.5)) for i in range(3)
+)
+GENERATION = pg.GenerationDistribution(start=0, pmf=[1.0])
+
+
+def prosumer(**changes):
+    spec = dict(storage_cap=2, consumption_cap=1, demand_cap=2, tau=1, generation=GENERATION)
+    return pg.ProsumerSpec(**{**spec, **changes})
+
+
+BOOL_CASES = {
+    "certify-horizon": (
+        lambda: pg.certify(BOOL_GAME, UNIFORM, (0, 0, 0), True, 0.01),
+        "horizon: must be an integer >= 1, got True"),
+    "certify-start": (
+        lambda: pg.certify(BOOL_GAME, UNIFORM, (False, 0, 0), 2, 0.01),
+        "initial state False of player 0 outside 0..2"),
+    "certify-epsilon": (
+        lambda: pg.certify(BOOL_GAME, UNIFORM, (0, 0, 0), 2, True),
+        "epsilon: must be positive and finite, got True"),
+    "strategy-player": (
+        lambda: pg.forward_marginals(
+            BOOL_GAME, pg.MarkovStrategy(player=True, dist=np.full((2, 3, 2), 0.5)), 0, 2),
+        "player index True outside 0..2"),
+    "profile-player": (
+        lambda: pg.certify(
+            BOOL_GAME,
+            (UNIFORM[0], pg.MarkovStrategy(player=True, dist=np.full((2, 3, 2), 0.5)), UNIFORM[2]),
+            (0, 0, 0), 2, 0.01),
+        "player 1: strategy belongs to player True"),
+    "search-horizon": (
+        lambda: pg.SearchConfig(epsilon=0.01, horizon=True),
+        "horizon: must be an integer >= 1, got True"),
+    "search-epsilon": (
+        lambda: pg.SearchConfig(epsilon=True), "epsilon: must be positive and finite, got True"),
+    "search-budget": (
+        lambda: pg.SearchConfig(epsilon=0.01, max_candidates=True),
+        "max_candidates: must be an integer >= 1, got True"),
+    "search-seed": (
+        lambda: pg.SearchConfig(epsilon=0.01, seed=False), "seed: must be an integer >= 0, got False"),
+    "search-cap": (
+        lambda: pg.SearchConfig(epsilon=0.01, refinement_cap=True),
+        "refinement_cap: must be an integer >= 0, got True"),
+    "grid-resolution": (
+        lambda: pg.ProfileGrid(BOOL_GAME, 1, True), "resolution must be an integer >= 1, got True"),
+    "generation-start": (
+        lambda: pg.GenerationDistribution(start=True, pmf=[1.0]), "start must be an integer, got True"),
+    "gaussian-support": (
+        lambda: pg.discretize_gaussian(0.0, 1.0, support=(False, 3)),
+        "support must be two integers, got (False, 3)"),
+    "prosumer-cap": (
+        lambda: prosumer(storage_cap=True),
+        "storage, consumption and demand caps must be integers >= 0, got (True, 1, 2)"),
+    "prosumer-tau": (
+        lambda: prosumer(tau=True), "reserve target True outside battery range 0..2"),
+}
+
+
+@pytest.mark.parametrize("case", list(BOOL_CASES))
+def test_a_bool_is_never_an_integer(case):
+    # True == 1 and False == 0, so a bool used to pass every integer check
+    # and fail later, deep inside numpy, or not at all
+    call, message = BOOL_CASES[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_numpy_integers_keep_passing_the_integer_rule():
+    grid = pg.ProfileGrid(BOOL_GAME, np.int64(1), np.int32(2))
+    assert grid.resolution == 2
+    config = pg.SearchConfig(epsilon=0.01, max_candidates=np.int64(5), horizon=np.int64(1))
+    assert config.resolve_horizon(BOOL_GAME) == 1
+    assert prosumer(tau=np.int64(0)).tau == 0

@@ -213,9 +213,8 @@ def test_oversized_first_level_is_sampled_not_refused(monkeypatch):
     monkeypatch.setattr(search, "_grid_blocks", refuse)
     config = pg.SearchConfig(epsilon=0.01, horizon=1, initial_delta=0.9, max_candidates=8,
                              refinement_cap=0)
-    with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_equilibrium(pennies_game(), (0, 0), config)
-    best = info.value.best_certificate
+    best = pg.search_equilibrium(pennies_game(), (0, 0), config)
+    assert not best.passed
     assert (best.candidates_examined, best.final_delta, best.mode) == (8, 0.5, "sampled")
 
 
@@ -228,11 +227,10 @@ def test_refinement_samples_a_level_above_the_budget(monkeypatch):
     config = pg.SearchConfig(
         epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2, max_candidates=30
     )
-    with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_equilibrium(pennies_game(), (0, 0), config)
-    assert info.value.levels == 3
-    assert "refinement stopped" not in str(info.value)
-    best = info.value.best_certificate
+    best = pg.search_equilibrium(pennies_game(), (0, 0), config)
+    assert not best.passed
+    assert best.levels == 3
+    assert best.stop is None
     assert (best.candidates_examined, best.final_delta, best.mode) == (64, 0.125, "sampled")
     assert built == [2, 4, 8]
 
@@ -253,12 +251,12 @@ def test_sampled_refinement_stops_before_a_lattice_too_fine_to_build(monkeypatch
     config = pg.SearchConfig(
         epsilon=0.01, horizon=1, initial_delta=0.9, refinement_cap=2, max_candidates=5
     )
-    stopped = r"refinement stopped: lattice at step 0\.125 over 2 actions holds 9 rows, above 10"
-    with pytest.raises(pg.EquilibriumNotFoundError, match=stopped) as info:
-        pg.search_equilibrium(pennies_game(), (0, 0), config)
-    assert info.value.levels == 2
-    assert info.value.best_certificate.final_delta == 0.25
-    assert info.value.best_certificate.mode == "sampled"
+    best = pg.search_equilibrium(pennies_game(), (0, 0), config)
+    assert not best.passed
+    assert best.stop.startswith("lattice at step 0.125 over 2 actions holds 9 rows, above 10")
+    assert best.levels == 2
+    assert best.final_delta == 0.25
+    assert best.mode == "sampled"
 
 
 def test_refinement_doubles_the_resolution_exactly(monkeypatch):
@@ -278,10 +276,10 @@ def test_refinement_doubles_the_resolution_exactly(monkeypatch):
         epsilon=0.01, horizon=1, initial_delta=1 / 12_845_056,
         max_candidates=2, refinement_cap=3,
     )
-    with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_equilibrium(dominant_game(1), (0,), config)
+    best = pg.search_equilibrium(dominant_game(1), (0,), config)
+    assert not best.passed
     assert built == [12_845_056 << level for level in range(4)]
-    assert info.value.best_certificate.final_delta == 1 / (12_845_056 << 3)
+    assert best.final_delta == 1 / (12_845_056 << 3)
 
 
 def test_one_action_grid_never_outgrows_the_cap():
@@ -406,12 +404,9 @@ def test_grid_search_not_found_carries_best_candidate():
     config = pg.SearchConfig(
         epsilon=0.01, horizon=1, refinement_cap=0, initial_delta=0.9
     )
-    with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_equilibrium(game, (0, 0), config)
-    err = info.value
-    assert err.levels == 1
-    best = err.best_certificate
+    best = pg.search_equilibrium(game, (0, 0), config)
     assert not best.passed
+    assert best.levels == 1
     assert best.candidates_examined == 9
     assert best.final_delta == 0.5
     # the least-exploitable lattice profile is the even mix
@@ -435,9 +430,8 @@ def test_grid_search_refines_until_pass():
 
 def test_exhausted_grid_search_keeps_the_first_of_tied_candidates():
     config = pg.SearchConfig(epsilon=0.01, horizon=1, refinement_cap=0)
-    with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_equilibrium(unreachable_state_pennies(), (0, 0), config)
-    best = info.value.best_certificate
+    best = pg.search_equilibrium(unreachable_state_pennies(), (0, 0), config)
+    assert not best.passed
     assert best.candidates_examined == 81
     assert np.max(best.gaps) == pytest.approx(0.25, abs=1e-12)
     for strat in best.profile:
@@ -482,9 +476,8 @@ def test_sampled_search_not_found():
         initial_delta=0.9,
         seed=2,
     )
-    with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_equilibrium(game, (0, 0), config)
-    best = info.value.best_certificate
+    best = pg.search_equilibrium(game, (0, 0), config)
+    assert not best.passed
     assert best.candidates_examined == 8  # 8 distinct draws of the 9 profiles
     assert np.max(best.gaps) == pytest.approx(0.25, abs=1e-12)
 
@@ -729,14 +722,11 @@ def test_live_cells_are_where_the_uniform_strategy_puts_mass(seed):
 
 def grid_outcome(game, x, config):
     """Everything a search reports: status, certificate bytes, count, step,
-    final level's mode, levels and message."""
-    try:
-        cert = pg.search_equilibrium(game, x, config)
-        status, levels, message = "passed", None, None
-    except pg.EquilibriumNotFoundError as exc:
-        cert, status, levels, message = exc.best_certificate, "exhausted", exc.levels, str(exc)
+    final level's mode, levels and why refinement stopped."""
+    cert = pg.search_equilibrium(game, x, config)
     return (
-        status, cert.mode, levels, message, cert.passed, cert.candidates_examined,
+        "passed" if cert.passed else "exhausted", cert.mode, cert.levels, cert.stop,
+        cert.candidates_examined,
         cert.final_delta, cert.values.tobytes(), cert.best_values.tobytes(), cert.gaps.tobytes(),
         tuple(s.dist.tobytes() for s in cert.profile),
     )
@@ -808,9 +798,8 @@ def test_grid_exhaust_workload_certifies_only_live_rows(monkeypatch, tmp_path):
         return evaluate(game, dists, x, horizon, cutoff)
 
     monkeypatch.setattr(search, "_evaluate", counting)
-    with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_equilibrium(cfg.game, cfg.initial_state, cfg.search)
-    best = info.value.best_certificate
+    best = pg.search_equilibrium(cfg.game, cfg.initial_state, cfg.search)
+    assert not best.passed
     assert (best.candidates_examined, best.mode) == (6561, "grid")
     assert rows <= 729
 
@@ -847,14 +836,6 @@ def test_worst_gap_fold_equals_fmax_reduce(players):
     assert np.array_equal(search._worst_gaps(gaps), expected, equal_nan=True)
 
 
-def outcome(game, x, config):
-    """The search's certificate: the passing one, or the best on exhaustion."""
-    try:
-        return pg.search_equilibrium(game, x, config)
-    except pg.EquilibriumNotFoundError as exc:
-        return exc.best_certificate
-
-
 BLOCK_CASES = [
     # unique pass at the last of 81 candidates
     (dominant_game(2), pg.SearchConfig(epsilon=0.1, horizon=2)),
@@ -885,7 +866,7 @@ def test_search_results_do_not_depend_on_block_size(monkeypatch, case):
     for rows in (1, 7, None):  # None keeps the default block size
         if rows is not None:
             monkeypatch.setattr(search, "_BLOCK_ELEMENTS", rows * widest)
-        results.append(outcome(game, x, config))
+        results.append(pg.search_equilibrium(game, x, config))
         monkeypatch.undo()
     first = results[0]
     for cert in results[1:]:
@@ -904,7 +885,7 @@ def test_search_certificate_equals_certify_of_its_profile(case):
     # reproduce the certificate
     game, config = BLOCK_CASES[case]
     x = (0,) * game.n
-    cert = outcome(game, x, config)
+    cert = pg.search_equilibrium(game, x, config)
     again = pg.certify(game, cert.profile, x, cert.horizon, cert.epsilon)
     assert again.passed == cert.passed
     for field in ("values", "best_values", "gaps"):
@@ -938,9 +919,9 @@ def test_lazy_pass_matches_full_pass(monkeypatch, case, rows):
     if rows is not None:
         widest = max(game.opponent_pair_count(i) for i in range(game.n))
         monkeypatch.setattr(search, "_BLOCK_ELEMENTS", rows * widest)
-    lazy = outcome(game, x, config)
+    lazy = pg.search_equilibrium(game, x, config)
     evaluate_every_player(monkeypatch)
-    assert_bit_equal(lazy, outcome(game, x, config))
+    assert_bit_equal(lazy, pg.search_equilibrium(game, x, config))
 
 
 def test_lazy_pass_matches_full_pass_on_random_games(monkeypatch):
@@ -970,10 +951,10 @@ def test_lazy_pass_matches_full_pass_on_random_games(monkeypatch):
         widest = max(game.opponent_pair_count(i) for i in range(game.n))
         monkeypatch.setattr(search, "_BLOCK_ELEMENTS", 3 * widest)
         monkeypatch.setattr(search, "_evaluate", counting)
-        lazy = outcome(game, x, config)
+        lazy = pg.search_equilibrium(game, x, config)
         monkeypatch.setattr(search, "_evaluate", evaluate)
         evaluate_every_player(monkeypatch)
-        assert_bit_equal(lazy, outcome(game, x, config))
+        assert_bit_equal(lazy, pg.search_equilibrium(game, x, config))
         monkeypatch.undo()
         verdicts.add((lazy.mode, lazy.passed))
     assert verdicts == {(m, v) for m in ("grid", "sampled") for v in (True, False)}
@@ -996,7 +977,7 @@ def test_lazy_pass_prunes_most_player_rows_on_six_prosumers(monkeypatch):
     config = pg.SearchConfig(
         epsilon=1e-4, max_candidates=400, horizon=4, seed=20250817, refinement_cap=0
     )
-    with pytest.raises(pg.EquilibriumNotFoundError) as info:
-        pg.search_equilibrium(game, (0,) * 6, config)
-    assert info.value.best_certificate.candidates_examined == 400
+    best = pg.search_equilibrium(game, (0,) * 6, config)
+    assert not best.passed
+    assert best.candidates_examined == 400
     assert rows <= 0.4 * 6 * 400

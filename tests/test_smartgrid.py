@@ -394,7 +394,7 @@ def test_simulation_game_shape_and_bounds():
     assert game.discount_beta == 0.001
     for bound, expected in zip(game.value_bounds, SIMULATION_VALUE_BOUNDS):
         assert bound == pytest.approx(expected, rel=1e-12)
-    assert pg.truncation_horizon(0.01, game).horizon == 2
+    assert pg.truncation_horizon(0.01, game) == 2
 
 
 def test_simulation_game_preferences():
