@@ -15,6 +15,9 @@ count whose tail bound is within another.  ``truncation_error_bound``
 exposes the bound itself, and ``lipschitz_delta`` converts the same kind of
 bound into a simplex grid step fine enough for grid search (only available
 when every weighting function is Lipschitz, which rules out prelec).
+``_weight_mass`` bounds a stage's weight sum by Jensen's inequality, and
+``_continuation_spread`` turns it into how far the stages after the first
+can move a value, which the search's stage-1 screen subtracts.
 """
 from __future__ import annotations
 
@@ -152,6 +155,98 @@ def _horizon(game: ValidatedGame, log_epsilon: float) -> int:
             ratio = (log_allowance - math.log(bound) - math.log(sizes)) / math.log(beta)
             worst = max(worst, math.ceil(ratio))
     return worst
+
+
+def _weight_line(weighting, tuples: int) -> tuple:
+    """A line ``(a, b)``, p -> a + b*p, lying above ``weighting`` on [0, 1]
+    and touching its least concave majorant at 1/``tuples`` where it can.
+
+    ``identity`` is its own line.  ``power_complement`` is concave, so its
+    tangent at 1/``tuples`` lies above it.  ``table`` takes the segment of
+    its knots' upper hull over 1/``tuples``.  ``prelec`` is concave below
+    1/e and convex above (Prelec 1998): the tangent at 1/``tuples`` lies
+    above it when that point is at most 1/e and the tangent passes at or
+    above (1, 1).  Otherwise a line through (1, 1) stays above it when its
+    slope is at most that of the tangent from (1, 1), which touches at p*;
+    the tangent slope at any point of [p*, 1/e] qualifies, and bisection
+    finds one.
+    """
+    p0 = 1.0 / tuples
+    kind, alpha = weighting.kind, weighting.alpha
+    if kind == "identity":
+        return 0.0, 1.0
+    if kind == "power_complement":
+        slope = alpha * (1.0 - p0) ** (alpha - 1.0)
+        return 1.0 - (1.0 - p0) ** alpha - slope * p0, slope
+    if kind == "table":
+        hull = []
+        for point in zip(weighting.knots_y, weighting.knots_w):
+            # pop the last vertex while it lies on or below the chord to point
+            while len(hull) > 1 and (
+                (hull[-1][0] - hull[-2][0]) * (point[1] - hull[-2][1])
+                >= (hull[-1][1] - hull[-2][1]) * (point[0] - hull[-2][0])
+            ):
+                hull.pop()
+            hull.append(point)
+        (y0, w0), (y1, w1) = next((a, b) for a, b in zip(hull, hull[1:]) if p0 <= b[0])
+        slope = (w1 - w0) / (y1 - y0)
+        return w0 - slope * y0, slope
+
+    def tangent(log_inverse):
+        # w(p) and w'(p) = alpha * L**(alpha - 1) * exp(L - L**alpha) at p = exp(-L)
+        power = log_inverse**alpha
+        return math.exp(-power), alpha * power / log_inverse * math.exp(log_inverse - power)
+
+    if p0 <= 1.0 / math.e:
+        value, slope = tangent(math.log(tuples))
+        if value + slope * (1.0 - p0) >= 1.0:
+            return value - slope * p0, slope
+    # bisect L = -ln p on [1, 700] (exp(L) stays finite) keeping p >= p* at
+    # ``low``, where the tangent passes at or below (1, 1)
+    low, high = 1.0, 700.0
+    for _ in range(60):
+        middle = 0.5 * (low + high)
+        value, slope = tangent(middle)
+        if value + slope * (1.0 - math.exp(-middle)) <= 1.0:
+            low = middle
+        else:
+            high = middle
+    slope = tangent(low)[1]
+    return 1.0 - slope, slope
+
+
+def _weight_mass(weighting, tuples: int) -> float:
+    """Bound on the sum of ``weighting`` over ``tuples`` probabilities that
+    sum to 1: by Jensen, ``tuples`` * a + b for the line of
+    :func:`_weight_line`, which is ``tuples`` times the least concave
+    majorant at 1/``tuples`` where the line touches it."""
+    intercept, slope = _weight_line(weighting, tuples)
+    return tuples * intercept + slope
+
+
+def _continuation_spread(game: ValidatedGame, horizon: int):
+    """Per-player ``(spread, scale)`` of a truncated value, stage 1 fixed.
+
+    ``spread[i]`` bounds how far stages 2..``horizon`` of player i's value
+    can move when only the player's own strategy changes: at each stage the
+    opponents' weights are the same for every own (state, action), so two
+    own marginal tables differ there by at most the largest column spread
+    of ``valued_payoffs[i]`` times the weight mass (``_weight_mass`` over
+    the opponent tuples), discounted.  ``scale[i]`` bounds the sum of the
+    absolute terms of any of player i's values over the horizon (the value
+    bound times the weight mass, discounted), the size that rounding errors
+    are measured against.  Both are Python floats, so an infinite mass
+    gives infinities or NaN, never a warning.
+    """
+    beta = game.discount_beta
+    later = sum(beta**k for k in range(1, horizon))
+    spread, scale = [], []
+    for i, p in enumerate(game.players):
+        columns = float(np.ptp(game.valued_payoffs[i], axis=0).max())
+        mass = _weight_mass(p.weighting, game.opponent_pair_count(i))
+        spread.append(columns * mass * later)
+        scale.append(float(game.value_bounds[i]) * mass * (1.0 + later))
+    return spread, scale
 
 
 def truncation_error_bound(game: ValidatedGame, horizon: int) -> np.ndarray:

@@ -157,7 +157,8 @@ class MarkovStrategy(_PlayerTable):
 class DeterministicMarkovPolicy:
     """Markov strategy that picks exactly one action per (stage, state).
 
-    ``choice`` has shape (horizon, states) and holds action indices.
+    ``choice`` has shape (horizon, states) and holds action indices;
+    ``player`` and ``action_count`` are integers (``game._is_integer``).
     """
 
     player: int
@@ -165,11 +166,13 @@ class DeterministicMarkovPolicy:
     action_count: int
 
     def __post_init__(self):
+        for name, low in (("player", 0), ("action_count", 1)):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= low):
+                raise ValueError(f"{name}: must be an integer >= {low}, got {value!r}")
         arr = np.array(self.choice, dtype=int)
         if arr.ndim != 2:
             raise ValueError(f"policy needs shape (horizon, S), got {arr.shape}")
-        if self.action_count < 1:
-            raise ValueError("action_count must be positive")
         if np.any(arr < 0) or np.any(arr >= self.action_count):
             raise ValueError(
                 f"policy chooses actions outside 0..{self.action_count - 1}"

@@ -23,6 +23,17 @@ reaches it; the row it returns, the first passing one or else the best, is
 always evaluated in full.  ``certify`` runs it on a block of one profile
 without a cutoff.  Either way an :class:`EquilibriumCertificate`, which
 derives its verdict itself, is the result, and both agree bit for bit.
+
+Once the search has a finite cutoff, a stage-1 screen runs on each block
+before ``_evaluate``.  With the start state fixed, every player's stage-1
+deviation gain, less a bound on how far the discounted later stages can
+move (the largest payoff column spread times the Jensen bound on the
+stage's weight mass, ``criterion._continuation_spread``), is a lower bound
+on that player's gap.  A row whose bound reaches the cutoff plus a derived
+rounding margin has a computed gap of at least the cutoff, so dropping it
+changes no certificate; the screen reads the start-state cells only, which
+makes it far cheaper than the pass it spares.  ``_evaluate`` alone judges
+every row that survives, and the counts still cover the dropped rows.
 """
 from __future__ import annotations
 
@@ -33,7 +44,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .best_response import _backward
-from .criterion import _check_epsilon, _deviation_allowance, _stage_terms, truncation_horizon
+from .criterion import (
+    _check_epsilon,
+    _continuation_spread,
+    _deviation_allowance,
+    _stage_terms,
+    truncation_horizon,
+)
 from .game import ValidatedGame, _is_integer
 from .marginals import MarkovStrategy, _check_tables, _propagate, _reachable
 
@@ -55,6 +72,27 @@ PASS_SLACK = 1e-12
 # opponent-tuple vector (rows x tuples), which bounds the batched kernel's
 # working set whatever the game's width.
 _BLOCK_ELEMENTS = 2**14
+
+# Rounding margin of the stage-1 screen, per rounding of u = 2**-53.
+# Player i's screened bound is max_a q1(a) - sigma.q1 - D_i; the gap that
+# ``_evaluate`` computes is best - value.  Each of these four terms is a
+# float sum of products.  Take m_i = horizon * (K_i + S_i*A_i + n + 16) as
+# the most roundings on any chain from the tuple probabilities to a term:
+# n - 1 tuple products, a few in the weighting, one per term of the dot
+# products over the K_i opponent tuples and the S_i*A_i own pairs, and per
+# stage the discount, the stage sum and the backward recursion's
+# expectation.  The screen forms each tuple probability from the same
+# factors in the same order as ``_stage_terms``, so both weigh the same
+# probabilities.  The classic bound puts each term within
+# 1.01 * m_i * u * scale_i of its exact value for the computed weights,
+# where scale_i bounds the sum of its absolute parts
+# (``criterion._continuation_spread``).  The rounded weights can sum above
+# M_i by a few u per tuple, which widens D_i by less than that bound again.
+# The four terms err by at most 4.04 * m_i * u * scale_i together.  The
+# margin, 8 * m_i * u * scale_i, leaves room for that widening, the
+# subtraction, the comparison and the float M_i, so a dropped row's
+# computed gap is at least the cutoff.
+_SCREEN_ROUNDING = 8 * 2.0**-53
 
 # A lattice holds at most this many entries (rows x actions), 128 MiB of
 # floats: a finer lattice is refused before it is allocated.
@@ -242,6 +280,18 @@ class ProfileGrid:
             start = stop
         return out
 
+    def first_stage(self, block: np.ndarray, x: tuple) -> np.ndarray:
+        """Stage-1 action distributions at the start states ``x`` of the
+        profiles whose per-cell indices are the rows of ``block``, shape
+        (rows, players, A) for the largest action count A: zeros past a
+        player's own count."""
+        out = np.zeros((len(block), self.game.n, max(self.game.action_counts)))
+        start = 0
+        for j, p in enumerate(self.game.players):
+            out[:, j, : p.action_count] = self._options[p.action_count][block[:, start + x[j]]]
+            start += self.horizon * p.state_count
+        return out
+
     def profile_at(self, indices) -> tuple:
         """Materialize the profile for one per-cell index assignment."""
         dists = self.strategies(np.asarray(indices)[np.newaxis])
@@ -332,6 +382,76 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
             yield draws[fresh]
 
 
+class _StageOneScreen:
+    """A sound lower bound on every player's gap from stage 1 alone.
+
+    From the fixed start state x, stage 1 is a one-state choice: player i's
+    stage-1 rewards q1(a) need only ``valued_payoffs[i]`` restricted to
+    (x_i, .; x_j, .).  Playing a best stage-1 action and then the profile's
+    own strategy gains q1(a*) - sigma_i(1, x_i).q1 at stage 1 and loses at
+    most D_i (``criterion._continuation_spread``) at the later stages, so
+    the gap is at least their difference.  A row whose bound reaches the
+    cutoff plus the rounding margin (``_SCREEN_ROUNDING``) for some player
+    has a computed gap of at least the cutoff: it can neither pass nor
+    become the best.
+
+    Players with the same action count, the same opponents' action counts
+    and the same weighting run as one batch, with one weighting call.  Each
+    tuple's probability is the product ``_stage_terms`` forms, factor by
+    factor.
+    """
+
+    def __init__(self, game: ValidatedGame, x: tuple, horizon: int):
+        counts = game.action_counts
+        batches = {}
+        for i, p in enumerate(game.players):
+            batches.setdefault((counts[i], counts[:i] + counts[i + 1 :], p.weighting), []).append(i)
+        self.batches = []
+        for (count, opponent_counts, weighting), players in batches.items():
+            others = np.array(
+                [[j for j in range(game.n) if j != i] for i in players], dtype=np.intp
+            ).reshape(len(players), -1)
+            tables = []
+            for i, row in zip(players, others):
+                # the opponents' start-state columns, players ascending
+                columns = np.zeros(1, dtype=np.intp)
+                for j in row:
+                    pairs = x[j] * counts[j] + np.arange(counts[j])
+                    columns = (columns[:, np.newaxis] * game.pair_count(j) + pairs).ravel()
+                tables.append(game.valued_payoffs[i][x[i] * count : (x[i] + 1) * count, columns])
+            self.batches.append(
+                (np.array(players), others, opponent_counts, count, np.stack(tables), weighting)
+            )
+        spread, scale = _continuation_spread(game, horizon)
+        self.spread = np.array(spread)
+        chain = [
+            horizon * (game.opponent_pair_count(i) + game.pair_count(i) + game.n + 16)
+            for i in range(game.n)
+        ]
+        self.margin = np.array([_SCREEN_ROUNDING * m * t for m, t in zip(chain, scale)])
+
+    def lower_bounds(self, first: np.ndarray) -> np.ndarray:
+        """Each player's gap lower bound, shape (rows, players), for the
+        stage-1 action distributions ``first`` at the start states, as
+        :meth:`ProfileGrid.first_stage` gives them."""
+        rows = len(first)
+        out = np.empty((rows, len(self.spread)))
+        for players, others, opponent_counts, count, payoffs, weighting in self.batches:
+            tuples = np.ones((rows, len(players), 1))
+            for column, size in zip(others.T, opponent_counts):
+                factor = first[:, column, np.newaxis, :size]
+                tuples = (tuples[..., np.newaxis] * factor).reshape(rows, len(players), -1)
+            q = (payoffs @ weighting(tuples)[..., np.newaxis])[..., 0]
+            own = (first[:, players, np.newaxis, :count] @ q[..., np.newaxis])[..., 0, 0]
+            out[:, players] = q.max(axis=2) - own
+        return out - self.spread
+
+    def survivors(self, first: np.ndarray, cutoff: float) -> np.ndarray:
+        """Indices of the rows that no player's bound rules out."""
+        dropped = self.lower_bounds(first) >= cutoff + self.margin
+        return np.flatnonzero(~dropped.any(axis=1))
+
+
 def _evaluate(game: ValidatedGame, dists, x: tuple, horizon: int, cutoff: float = math.inf):
     """Values and best-response values, each of shape (rows, players), of a
     block of profiles given as per-player strategy blocks ``dists``, each of
@@ -420,7 +540,8 @@ def search_equilibrium(
     passing row's certificate is built from its own values.
     ``initial_delta`` is rounded to a resolution once; an exhausted level
     doubles it, up to ``refinement_cap`` times (stopping before a lattice
-    too fine to build).  Exhausting them returns the certificate of the
+    too fine to build).  Rows that the stage-1 screen rules out are counted
+    but not certified.  Exhausting the levels returns the certificate of the
     first candidate with the smallest worst gap, with ``passed`` false;
     ``levels`` and ``stop`` say how far the search went.  A first level too
     fine to build raises :class:`GridTooLargeError`.
@@ -436,6 +557,7 @@ def search_equilibrium(
     examined = levels = 0
     stop = None
     best = None  # (worst gap, grid, index row, values, best-response values)
+    screen = None  # built at the first finite cutoff
     for level in range(config.refinement_cap + 1):
         try:
             grid = ProfileGrid(game, horizon, resolution << level)
@@ -453,25 +575,34 @@ def search_equilibrium(
         mode = "grid" if enumerated else "sampled"
         for block in blocks:
             # a row with a gap of at least the best worst gap so far can
-            # neither pass (that gap failed) nor replace it (strict <), so
-            # its later players are skipped
+            # neither pass (that gap failed) nor replace it (strict <): the
+            # screen drops the rows whose stage-1 bound shows it, and
+            # ``_evaluate`` skips the later players of the others
             cutoff = math.inf if best is None else best[0]
-            values, best_values = _evaluate(game, grid.strategies(block), x, horizon, cutoff)
-            worst = _worst_gaps(best_values - values)
-            passing = np.flatnonzero(_passes(worst, config.epsilon))
-            if len(passing):
-                r = int(passing[0])
-                # an enumerated level counts every profile up to the winner,
-                # skipped ones included
-                before = _position(block[r], grid) if enumerated else r
-                return EquilibriumCertificate(
-                    grid.profile_at(block[r]), values[r], best_values[r], config.epsilon,
-                    horizon, candidates_examined=examined + before + 1, final_delta=grid.delta,
-                    mode=mode, levels=levels,
-                )
-            r = int(np.argmin(worst))
-            if best is None or worst[r] < best[0]:
-                best = (worst[r], grid, block[r], values[r], best_values[r])
+            kept = np.arange(len(block))
+            candidates = block
+            if best is not None:
+                screen = screen or _StageOneScreen(game, x, horizon)
+                kept = screen.survivors(grid.first_stage(block, x), cutoff)
+                candidates = block[kept]
+            if len(kept):
+                values, best_values = _evaluate(game, grid.strategies(candidates), x, horizon, cutoff)
+                worst = _worst_gaps(best_values - values)
+                passing = np.flatnonzero(_passes(worst, config.epsilon))
+                if len(passing):
+                    r = int(passing[0])
+                    # an enumerated level counts every profile up to the
+                    # winner, skipped ones included; a sampled block every
+                    # row up to it, screened ones included
+                    before = _position(candidates[r], grid) if enumerated else int(kept[r])
+                    return EquilibriumCertificate(
+                        grid.profile_at(candidates[r]), values[r], best_values[r], config.epsilon,
+                        horizon, candidates_examined=examined + before + 1,
+                        final_delta=grid.delta, mode=mode, levels=levels,
+                    )
+                r = int(np.argmin(worst))
+                if best is None or worst[r] < best[0]:
+                    best = (worst[r], grid, candidates[r], values[r], best_values[r])
             if not enumerated:
                 examined += len(block)
         if enumerated:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ptgames as pg
+from ptgames import criterion
 from helpers import (
     classical_joint_value,
     random_game,
@@ -369,3 +370,74 @@ def test_lipschitz_delta_rejects_prelec_and_bad_bounds():
         pg.lipschitz_delta(0.6, game)
     with pytest.raises(ValueError):
         pg.lipschitz_delta(-0.1, unit_bound_game(0.5))
+
+
+# ------------------------------------------------------------ weight mass
+
+MASS_WEIGHTINGS = [
+    pg.WeightingFunction.identity(),
+    *(pg.WeightingFunction.prelec(alpha) for alpha in (0.05, 0.3, 0.61, 0.8, 0.999, 1.0)),
+    *(pg.WeightingFunction.power_complement(alpha) for alpha in (1.01, 1.5, 4.0)),
+    # neither monotone nor concave; convex
+    pg.WeightingFunction.from_table([(0, 0), (0.3, 0.6), (0.5, 0.4), (0.7, 0.9), (1, 1)]),
+    pg.WeightingFunction.from_table([(0, 0), (0.1, 0.05), (1, 1)]),
+]
+MASS_TUPLES = [1, 2, 3, 5, 36, 7776]
+
+
+def simplex_points(rng, tuples):
+    """Uniform, one-hot, two-point and random (Dirichlet) points of the
+    simplex over ``tuples`` entries, one per row."""
+    uniform = np.full((1, tuples), 1.0 / tuples)
+    one_hot = np.zeros((1, tuples))
+    one_hot[0, -1] = 1.0
+    two_point = np.zeros((20, tuples))
+    share = rng.random(20)
+    two_point[:, 0] = share
+    two_point[:, -1] += 1.0 - share
+    spread = [rng.dirichlet(np.full(tuples, c), size=10) for c in (0.05, 1.0, 20.0)]
+    return np.vstack([uniform, one_hot, two_point, *spread])
+
+
+@pytest.mark.parametrize("tuples", MASS_TUPLES)
+@pytest.mark.parametrize("weighting", MASS_WEIGHTINGS, ids=lambda w: f"{w.kind}-{w.alpha}-{len(w.knots_y)}")
+def test_weight_mass_bounds_every_weight_sum(weighting, tuples):
+    rng = np.random.default_rng(tuples)
+    mass = criterion._weight_mass(weighting, tuples)
+    sums = weighting(simplex_points(rng, tuples)).sum(axis=1)
+    assert np.all(sums <= mass * (1.0 + 1e-12))
+    # the line above w on a dense grid, and on a log grid towards 0, where
+    # prelec's slope is unbounded
+    intercept, slope = criterion._weight_line(weighting, tuples)
+    p = np.concatenate([np.linspace(0.0, 1.0, 100_001), np.geomspace(1e-300, 1e-3, 3_000)])
+    assert np.all(intercept + slope * p >= weighting(p) - 1e-12)
+
+
+@pytest.mark.parametrize("tuples", [1, 2, 3, 36, 7776])
+@pytest.mark.parametrize("weighting", MASS_WEIGHTINGS, ids=lambda w: f"{w.kind}-{w.alpha}-{len(w.knots_y)}")
+def test_weight_mass_is_the_concave_majorant_at_the_uniform_point(weighting, tuples):
+    # K * (least concave majorant of w at 1/K), the majorant taken as the
+    # best chord through 1/K over a dense grid and a table's knots
+    p0 = 1.0 / tuples
+    knots = np.array(weighting.knots_y)
+    left = np.concatenate([[0.0], np.geomspace(1e-12, p0, 1500), knots[knots <= p0]])
+    right = np.concatenate([np.linspace(p0, 1.0, 1500), knots[knots >= p0]])
+    wl, wr = weighting(left)[:, None], weighting(right)[None, :]
+    span = right[None, :] - left[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        chords = np.where(span > 0, wl + (wr - wl) * (p0 - left[:, None]) / span, weighting(p0))
+    expected = tuples * chords.max()
+    assert criterion._weight_mass(weighting, tuples) == pytest.approx(expected, rel=1e-4)
+
+
+def test_weight_mass_frozen_examples():
+    # prelec(0.8) over the reference instance's 36 opponent tuples and the
+    # six-prosumer game's 7,776: the tangent at 1/K, so exactly K * w(1/K)
+    prelec = pg.WeightingFunction.prelec(0.8)
+    for tuples, mass in ((36, 2.2419), (7776, 24.0588)):
+        assert criterion._weight_mass(prelec, tuples) == pytest.approx(tuples * prelec(1.0 / tuples), rel=1e-14)
+        assert criterion._weight_mass(prelec, tuples) == pytest.approx(mass, abs=1e-4)
+    # one tuple holds all the mass, and the identity sums to 1
+    for weighting in MASS_WEIGHTINGS:
+        assert criterion._weight_mass(weighting, 1) == pytest.approx(1.0, abs=1e-12)
+    assert criterion._weight_mass(pg.WeightingFunction.identity(), 7776) == 1.0

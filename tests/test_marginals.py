@@ -232,6 +232,29 @@ def test_dm_policy_round_trip():
         assert np.array_equal(np.argmax(strat.dist, axis=2), choice)
 
 
+@pytest.mark.parametrize(
+    "player, action_count, message",
+    [
+        (True, 2, "player: must be an integer >= 0, got True"),
+        (0.0, 2, "player: must be an integer >= 0, got 0.0"),
+        (-1, 2, "player: must be an integer >= 0, got -1"),
+        (0, 2.5, "action_count: must be an integer >= 1, got 2.5"),
+        (0, True, "action_count: must be an integer >= 1, got True"),
+        (0, "2", "action_count: must be an integer >= 1, got '2'"),
+        (0, 0, "action_count: must be an integer >= 1, got 0"),
+    ],
+)
+def test_deterministic_policy_takes_only_integer_player_and_action_count(player, action_count, message):
+    # a float count used to pass here and fail later inside numpy
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pg.DeterministicMarkovPolicy(player=player, choice=[[0]], action_count=action_count)
+
+
+def test_deterministic_policy_accepts_numpy_integers():
+    policy = pg.DeterministicMarkovPolicy(player=np.int64(1), choice=[[1]], action_count=np.int32(2))
+    assert np.array_equal(pg.dm_policy_to_strategy(policy).dist, [[[0.0, 1.0]]])
+
+
 def test_policy_marginals_match_path_enumeration():
     # independent oracle: enumerate every state path of a deterministic
     # policy and accumulate path probabilities

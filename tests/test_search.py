@@ -4,7 +4,7 @@ import collections
 import json
 import math
 import runpy
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -981,3 +981,150 @@ def test_lazy_pass_prunes_most_player_rows_on_six_prosumers(monkeypatch):
     assert not best.passed
     assert best.candidates_examined == 400
     assert rows <= 0.4 * 6 * 400
+
+
+# ------------------------------------------------------- stage-1 screen
+
+
+def screen_off(monkeypatch):
+    """Switch the stage-1 screen off: an unbounded weight mass makes every
+    player's continuation spread and margin infinite or NaN, so no row's
+    bound reaches the cutoff."""
+    monkeypatch.setattr(criterion, "_weight_mass", lambda weighting, tuples: math.inf)
+
+
+def assert_same_certificate(screened, plain):
+    """Field for field: the profile arrays, values and gaps bitwise."""
+    for f in fields(pg.EquilibriumCertificate):
+        a, b = getattr(screened, f.name), getattr(plain, f.name)
+        if f.name == "profile":
+            for s, t in zip(a, b, strict=True):
+                assert (s.player, s.dist.tobytes()) == (t.player, t.dist.tobytes())
+        elif isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def first_stage_of(game, profile, x):
+    """``ProfileGrid.first_stage`` of one profile: its stage-1 action
+    distributions at the start states, padded to the largest action count."""
+    first = np.zeros((1, game.n, max(game.action_counts)))
+    for j, strategy in enumerate(profile):
+        first[0, j, : strategy.action_count] = strategy.dist[0, x[j]]
+    return first
+
+
+def one_hot_profile(rng, game, horizon):
+    profile = []
+    for i, p in enumerate(game.players):
+        choice = rng.integers(p.action_count, size=(horizon, p.state_count))
+        policy = pg.DeterministicMarkovPolicy(player=i, choice=choice, action_count=p.action_count)
+        profile.append(pg.dm_policy_to_strategy(policy))
+    return tuple(profile)
+
+
+def test_stage_one_bound_never_exceeds_the_gap():
+    # the screen's lower bound against certify's gap, for every player of
+    # random, one-hot and lattice profiles: within the screen's rounding
+    # margin above it at most, and equal to it at horizon 1, where no later
+    # stage can move
+    rng = np.random.default_rng(2204)
+    kinds = collections.Counter()
+    informative = 0
+    for case in range(150):
+        horizon = 1 + case % 5
+        game = random_game(
+            rng, n=int(rng.integers(1, 4)), max_states=3, max_actions=3,
+            beta=(case + 0.5) / 150, kernel=sparse_kernel if case % 2 else random_kernel,
+        )
+        kinds.update(p.weighting.kind for p in game.players)
+        x = random_initial_state(rng, game)
+        screen = search._StageOneScreen(game, x, horizon)
+        grid = pg.ProfileGrid(game, horizon, 2)
+        row = np.array([rng.integers(size) for size in grid.cell_sizes])
+        cases = [
+            (profile, first_stage_of(game, profile, x))
+            for profile in (random_profile(rng, game, horizon), one_hot_profile(rng, game, horizon))
+        ]
+        cases.append((grid.profile_at(row), grid.first_stage(row[np.newaxis], x)))
+        for profile, first in cases:
+            gaps = pg.certify(game, profile, x, horizon, 0.1).gaps
+            lower = screen.lower_bounds(first)[0]
+            assert np.all(lower <= gaps + screen.margin), case
+            if horizon == 1:
+                assert np.all(np.abs(lower - gaps) <= screen.margin), case
+            informative += int(np.sum(lower > 0.0)) if horizon > 1 else 0
+    assert set(kinds) == {"identity", "prelec", "power_complement", "table"}
+    # the bound is positive, so it can rule a row out, in many of the cases
+    # where the later stages move
+    assert informative > 50, informative
+
+
+def test_screen_leaves_every_certificate_unchanged(monkeypatch):
+    # the search with the screen against the search without it, field for
+    # field: sampled and enumerated levels in blocks of four rows, passes
+    # and exhaustions, and blocks where dropped rows sit beside a survivor
+    # that becomes the new best
+    survivors = search._StageOneScreen.survivors
+    screened_blocks = []
+
+    def recording(self, first, cutoff):
+        kept = survivors(self, first, cutoff)
+        screened_blocks.append((cutoff, len(first), len(kept)))
+        return kept
+
+    seen = collections.Counter()
+    dropped = beside_new_best = 0
+    for seed in range(60):
+        rng = np.random.default_rng([seed, 22])
+        if seed % 3 == 2:
+            game = noisy_pennies(rng, stages=1)
+        else:
+            game = random_game(
+                rng, n=int(rng.integers(2, 4)), max_states=2, max_actions=2,
+                integer_payoffs=seed % 3 == 0,
+            )
+        x = random_initial_state(rng, game)
+        config = pg.SearchConfig(
+            epsilon=float(rng.choice([1e-3, 1e-2, 0.1])), horizon=1 + seed % 2, seed=seed,
+            max_candidates=int(rng.choice([40, 150])), refinement_cap=seed // 2 % 2,
+        )
+        widest = max(game.opponent_pair_count(i) for i in range(game.n))
+        monkeypatch.setattr(search, "_BLOCK_ELEMENTS", 4 * widest)
+        monkeypatch.setattr(search._StageOneScreen, "survivors", recording)
+        screened_blocks.clear()
+        screened = pg.search_equilibrium(game, x, config)
+        for (cutoff, rows, kept), following in zip(screened_blocks, screened_blocks[1:]):
+            beside_new_best += 0 < kept < rows and following[0] < cutoff
+        dropped += sum(rows - kept for _, rows, kept in screened_blocks)
+        screen_off(monkeypatch)
+        assert_same_certificate(screened, pg.search_equilibrium(game, x, config))
+        monkeypatch.undo()
+        seen[screened.mode, screened.passed] += 1
+    assert min(seen[m, v] for m in ("grid", "sampled") for v in (True, False)) >= 2, seen
+    assert dropped > 500
+    assert beside_new_best > 0
+
+
+def test_screen_lets_few_six_prosumer_rows_reach_the_pass(monkeypatch):
+    # the prosumer-wide benchmark run: stage 1 alone rules out nearly every
+    # one of its 400 sampled candidates, and the certificate is unchanged
+    game = pg.build_prosumer_game(six_prosumers(), discount_beta=0.001)
+    evaluate = search._evaluate
+    rows = 0
+
+    def counting(game, dists, x, horizon, cutoff):
+        nonlocal rows
+        rows += len(dists[0])
+        return evaluate(game, dists, x, horizon, cutoff)
+
+    monkeypatch.setattr(search, "_evaluate", counting)
+    config = pg.SearchConfig(
+        epsilon=1e-4, max_candidates=400, horizon=4, seed=20250817, refinement_cap=0
+    )
+    screened = pg.search_equilibrium(game, (0,) * 6, config)
+    assert screened.candidates_examined == 400
+    assert rows <= 20
+    screen_off(monkeypatch)
+    assert_same_certificate(screened, pg.search_equilibrium(game, (0,) * 6, config))
