@@ -17,7 +17,7 @@ bound into a simplex grid step fine enough for grid search (only available
 when every weighting function is Lipschitz, which rules out prelec).
 ``_weight_mass`` bounds a stage's weight sum by Jensen's inequality, and
 ``_continuation_spread`` turns it into how far the stages after the first
-can move a value, which the search's stage-1 screen subtracts.
+can move a value, which the search's stage-1 screen subtracts less a margin.
 """
 from __future__ import annotations
 
@@ -71,6 +71,18 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon: must be positive and finite, got {epsilon}")
 
 
+def _opponent_tuples(factors, lead: tuple) -> np.ndarray:
+    """Joint probabilities of the opponent tuples, shape ``lead`` + (tuples,),
+    from one factor per opponent, players ascending, each of shape ``lead`` +
+    (pairs,): the last varies fastest, the column order of ``valued_payoffs``.
+    The one opponent-tuple product; each caller applies its own weighting."""
+    # the first factor stands for 1 times itself, which is exact
+    tuples = factors[0] if factors else np.ones((*lead, 1))
+    for factor in factors[1:]:
+        tuples = (tuples[..., np.newaxis] * factor[..., np.newaxis, :]).reshape(*lead, -1)
+    return tuples
+
+
 def _stage_terms(game: ValidatedGame, player: int, tables, horizon: int):
     """Discounted induced stage rewards, shape (rows, horizon, S*A), and the
     player's discounted stage contributions, shape (rows, horizon), for a
@@ -79,8 +91,7 @@ def _stage_terms(game: ValidatedGame, player: int, tables, horizon: int):
 
     The player's own table may be None (no contributions then).  Each stage
     applies the weighting once to the joint probability of every opponent
-    tuple, ordered players-ascending then (state, action) lexicographic like
-    the columns of the valued payoff matrix.  Rewards and values run as one
+    tuple (``_opponent_tuples``).  Rewards and values run as one
     matrix-vector product per row, whose rounding does not depend on the
     row's position in the block, so every row matches a block of one.
     """
@@ -90,11 +101,8 @@ def _stage_terms(game: ValidatedGame, player: int, tables, horizon: int):
     contributions = None if own is None else np.empty((rows, horizon))
     discount = 1.0
     for k in range(horizon):
-        tuples = np.ones((rows, 1))
-        for j, table in enumerate(tables):
-            if j != player:
-                tuples = (tuples[:, :, np.newaxis] * table[:, k].reshape(rows, 1, -1)).reshape(rows, -1)
-        weights = game.players[player].weighting(tuples)
+        factors = [table[:, k].reshape(rows, -1) for j, table in enumerate(tables) if j != player]
+        weights = game.players[player].weighting(_opponent_tuples(factors, (rows,)))
         payoff = game.valued_payoffs[player] @ weights[:, :, np.newaxis]
         rewards[:, k] = discount * payoff[:, :, 0]
         if own is not None:
@@ -224,29 +232,51 @@ def _weight_mass(weighting, tuples: int) -> float:
     return tuples * intercept + slope
 
 
+# Rounding margin of the search's stage-1 screen, per rounding of
+# u = 2**-53.  Player i's screened bound is max_a q1(a) - sigma.q1 - D_i;
+# the gap that the certification pass computes is best - value.  Each of
+# these four terms is a float sum of products.  Take
+# m_i = horizon * (K_i + S_i*A_i + n + 16) as the most roundings on any
+# chain from the tuple probabilities to a term: n - 1 tuple products, a few
+# in the weighting, one per term of the dot products over the K_i opponent
+# tuples and the S_i*A_i own pairs, and per stage the discount, the stage
+# sum and the backward recursion's expectation.  The screen and
+# ``_stage_terms`` both take their tuple probabilities from
+# ``_opponent_tuples``, so both weigh the same probabilities.  The classic
+# bound puts each term within 1.01 * m_i * u * scale_i of its exact value
+# for the computed weights, where scale_i bounds the sum of its absolute
+# parts.  The rounded weights can sum above M_i by a few u per tuple, which
+# widens D_i by less than that bound again.  The four terms err by at most
+# 4.04 * m_i * u * scale_i together.  The margin, 8 * m_i * u * scale_i,
+# leaves room for that widening, the subtraction, the comparison and the
+# float M_i, so a dropped row's computed gap is at least the cutoff.
+_SCREEN_ROUNDING = 8 * 2.0**-53
+
+
 def _continuation_spread(game: ValidatedGame, horizon: int):
-    """Per-player ``(spread, scale)`` of a truncated value, stage 1 fixed.
+    """Per-player ``(spread, margin)`` arrays of a truncated value, stage 1 fixed.
 
     ``spread[i]`` bounds how far stages 2..``horizon`` of player i's value
     can move when only the player's own strategy changes: at each stage the
     opponents' weights are the same for every own (state, action), so two
     own marginal tables differ there by at most the largest column spread
     of ``valued_payoffs[i]`` times the weight mass (``_weight_mass`` over
-    the opponent tuples), discounted.  ``scale[i]`` bounds the sum of the
-    absolute terms of any of player i's values over the horizon (the value
-    bound times the weight mass, discounted), the size that rounding errors
-    are measured against.  Both are Python floats, so an infinite mass
+    the opponent tuples), discounted.  ``margin[i]`` is ``_SCREEN_ROUNDING``
+    times the chain m_i times scale_i (the value bound times the weight mass,
+    discounted).  Both are Python floats until the end, so an infinite mass
     gives infinities or NaN, never a warning.
     """
     beta = game.discount_beta
     later = sum(beta**k for k in range(1, horizon))
-    spread, scale = [], []
+    spread, margin = [], []
     for i, p in enumerate(game.players):
         columns = float(np.ptp(game.valued_payoffs[i], axis=0).max())
         mass = _weight_mass(p.weighting, game.opponent_pair_count(i))
         spread.append(columns * mass * later)
-        scale.append(float(game.value_bounds[i]) * mass * (1.0 + later))
-    return spread, scale
+        scale = float(game.value_bounds[i]) * mass * (1.0 + later)
+        chain = horizon * (game.opponent_pair_count(i) + game.pair_count(i) + game.n + 16)
+        margin.append(_SCREEN_ROUNDING * chain * scale)
+    return np.array(spread), np.array(margin)
 
 
 def truncation_error_bound(game: ValidatedGame, horizon: int) -> np.ndarray:

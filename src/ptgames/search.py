@@ -48,6 +48,7 @@ from .criterion import (
     _check_epsilon,
     _continuation_spread,
     _deviation_allowance,
+    _opponent_tuples,
     _stage_terms,
     truncation_horizon,
 )
@@ -72,27 +73,6 @@ PASS_SLACK = 1e-12
 # opponent-tuple vector (rows x tuples), which bounds the batched kernel's
 # working set whatever the game's width.
 _BLOCK_ELEMENTS = 2**14
-
-# Rounding margin of the stage-1 screen, per rounding of u = 2**-53.
-# Player i's screened bound is max_a q1(a) - sigma.q1 - D_i; the gap that
-# ``_evaluate`` computes is best - value.  Each of these four terms is a
-# float sum of products.  Take m_i = horizon * (K_i + S_i*A_i + n + 16) as
-# the most roundings on any chain from the tuple probabilities to a term:
-# n - 1 tuple products, a few in the weighting, one per term of the dot
-# products over the K_i opponent tuples and the S_i*A_i own pairs, and per
-# stage the discount, the stage sum and the backward recursion's
-# expectation.  The screen forms each tuple probability from the same
-# factors in the same order as ``_stage_terms``, so both weigh the same
-# probabilities.  The classic bound puts each term within
-# 1.01 * m_i * u * scale_i of its exact value for the computed weights,
-# where scale_i bounds the sum of its absolute parts
-# (``criterion._continuation_spread``).  The rounded weights can sum above
-# M_i by a few u per tuple, which widens D_i by less than that bound again.
-# The four terms err by at most 4.04 * m_i * u * scale_i together.  The
-# margin, 8 * m_i * u * scale_i, leaves room for that widening, the
-# subtraction, the comparison and the float M_i, so a dropped row's
-# computed gap is at least the cutoff.
-_SCREEN_ROUNDING = 8 * 2.0**-53
 
 # A lattice holds at most this many entries (rows x actions), 128 MiB of
 # floats: a finer lattice is refused before it is allocated.
@@ -389,20 +369,22 @@ class _StageOneScreen:
     stage-1 rewards q1(a) need only ``valued_payoffs[i]`` restricted to
     (x_i, .; x_j, .).  Playing a best stage-1 action and then the profile's
     own strategy gains q1(a*) - sigma_i(1, x_i).q1 at stage 1 and loses at
-    most D_i (``criterion._continuation_spread``) at the later stages, so
-    the gap is at least their difference.  A row whose bound reaches the
-    cutoff plus the rounding margin (``_SCREEN_ROUNDING``) for some player
-    has a computed gap of at least the cutoff: it can neither pass nor
-    become the best.
+    most D_i (``spread``) at the later stages, so the gap is at least their
+    difference.  A row whose bound reaches the cutoff plus the rounding
+    ``margin`` for some player has a computed gap of at least the cutoff: it
+    can neither pass nor become the best.  Both come from
+    ``criterion._continuation_spread``.
 
     Players with the same action count, the same opponents' action counts
-    and the same weighting run as one batch, with one weighting call.  Each
-    tuple's probability is the product ``_stage_terms`` forms, factor by
-    factor.
+    and the same weighting run as one batch, with one weighting call.  The
+    tuple probabilities and the start-state columns both come from
+    ``criterion._opponent_tuples``, the product ``_stage_terms`` weighs.
     """
 
     def __init__(self, game: ValidatedGame, x: tuple, horizon: int):
         counts = game.action_counts
+        # "state == x_j" per (state, action): the product marks start-state columns
+        at_start = [np.repeat(np.arange(s) == x[j], counts[j]) for j, s in enumerate(game.state_counts)]
         batches = {}
         for i, p in enumerate(game.players):
             batches.setdefault((counts[i], counts[:i] + counts[i + 1 :], p.weighting), []).append(i)
@@ -413,22 +395,12 @@ class _StageOneScreen:
             ).reshape(len(players), -1)
             tables = []
             for i, row in zip(players, others):
-                # the opponents' start-state columns, players ascending
-                columns = np.zeros(1, dtype=np.intp)
-                for j in row:
-                    pairs = x[j] * counts[j] + np.arange(counts[j])
-                    columns = (columns[:, np.newaxis] * game.pair_count(j) + pairs).ravel()
+                columns = np.flatnonzero(_opponent_tuples([at_start[j] for j in row], ()))
                 tables.append(game.valued_payoffs[i][x[i] * count : (x[i] + 1) * count, columns])
             self.batches.append(
                 (np.array(players), others, opponent_counts, count, np.stack(tables), weighting)
             )
-        spread, scale = _continuation_spread(game, horizon)
-        self.spread = np.array(spread)
-        chain = [
-            horizon * (game.opponent_pair_count(i) + game.pair_count(i) + game.n + 16)
-            for i in range(game.n)
-        ]
-        self.margin = np.array([_SCREEN_ROUNDING * m * t for m, t in zip(chain, scale)])
+        self.spread, self.margin = _continuation_spread(game, horizon)
 
     def lower_bounds(self, first: np.ndarray) -> np.ndarray:
         """Each player's gap lower bound, shape (rows, players), for the
@@ -437,10 +409,8 @@ class _StageOneScreen:
         rows = len(first)
         out = np.empty((rows, len(self.spread)))
         for players, others, opponent_counts, count, payoffs, weighting in self.batches:
-            tuples = np.ones((rows, len(players), 1))
-            for column, size in zip(others.T, opponent_counts):
-                factor = first[:, column, np.newaxis, :size]
-                tuples = (tuples[..., np.newaxis] * factor).reshape(rows, len(players), -1)
+            factors = [first[:, column, :size] for column, size in zip(others.T, opponent_counts)]
+            tuples = _opponent_tuples(factors, (rows, len(players)))
             q = (payoffs @ weighting(tuples)[..., np.newaxis])[..., 0]
             own = (first[:, players, np.newaxis, :count] @ q[..., np.newaxis])[..., 0, 0]
             out[:, players] = q.max(axis=2) - own

@@ -61,6 +61,8 @@ class GenerationDistribution:
 
     The mass must be a probability vector; ``support`` runs over the carried
     integers (which may be negative — net generation minus local losses).
+    It is stored divided by its sum, so a kernel row that groups its masses
+    sums to 1 up to rounding however far within the sum tolerance it was.
     """
 
     start: int
@@ -75,6 +77,7 @@ class GenerationDistribution:
         problem = _distribution_problem(arr)
         if problem is not None:
             raise ValueError(problem[0])
+        arr /= arr.sum()
         arr.setflags(write=False)
         object.__setattr__(self, "start", int(self.start))
         object.__setattr__(self, "pmf", arr)
@@ -88,8 +91,8 @@ def discretize_gaussian(
     mu: float, variance: float, support: tuple | None = None
 ) -> GenerationDistribution:
     """Project a Gaussian onto the integers: interior bin k gets the mass of
-    [k - 1/2, k + 1/2], the two boundary bins absorb their tails, and the
-    result is normalized so the masses sum to exactly 1.
+    [k - 1/2, k + 1/2], and the two boundary bins absorb their tails, so the
+    masses sum to 1 up to rounding (the distribution divides by their sum).
 
     ``support`` is an inclusive integer interval; by default four standard
     deviations around the mean, rounded outward.  As the variance shrinks the
@@ -119,10 +122,7 @@ def discretize_gaussian(
         upper = 1.0 if k == hi else cdf(k + 0.5)
         lower = 0.0 if k == lo else cdf(k - 0.5)
         masses[k - lo] = upper - lower
-    total = masses.sum()
-    if total <= 0.0:
-        raise ValueError(f"support [{lo}, {hi}] carries no Gaussian mass")
-    return GenerationDistribution(start=lo, pmf=masses / total)
+    return GenerationDistribution(start=lo, pmf=masses)
 
 
 @dataclass(frozen=True)
@@ -250,9 +250,7 @@ def _consumption_and_demand(spec: ProsumerSpec, storage, action, induced_demand:
     return np.divmod(action, spec.demand_count)
 
 
-def storage_kernel(
-    spec: ProsumerSpec, stage_index: int = 0, induced_demand: bool = False
-) -> np.ndarray:
+def storage_kernel(spec: ProsumerSpec, stage_index: int = 0, *, induced_demand: bool) -> np.ndarray:
     """(S, A, S) battery transition table for one stage.
 
     With ``induced_demand`` the action is consumption alone and demand
@@ -326,8 +324,7 @@ def build_prosumer_game(
     other prosumers' battery levels through their induced demands; without
     it, actions are (consumption, demand) pairs and the payoff ignores other
     prosumers' battery levels entirely.  The payoff table is built by numpy
-    broadcasting, not entry by entry.  A kernel row that a generation pmf at
-    the edge of the sum tolerance leaves just outside it raises ValueError.
+    broadcasting, not entry by entry.
     """
     prosumers = tuple(prosumers)
     players = []

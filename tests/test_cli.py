@@ -397,10 +397,6 @@ def smartgrid_variant(**prosumer0):
          "smartgrid.prosumers[0].generation.pmf: "),
         (smartgrid_variant(weighting={"kind": "table", "points": [[0, 0], [1]]}),
          "smartgrid.prosumers[0].weighting: table weighting point [1] is not a (y, w) pair"),
-        # the pmf keeps the sum tolerance, but the kernel row that groups its
-        # masses at the battery bounds sums to just outside it
-        (smartgrid_variant(generation={"support_min": -1, "pmf": [0.1, 0.1, 0.1, 0.699999999999]}),
-         "smartgrid: kernel of player 0: distribution sums to 0.999999999999 at (t=1, s=0, a=0)"),
         (one_player_config(weighting={"kind": "cubic"}),
          "game.players[0].weighting.kind: unknown weighting kind 'cubic'"),
         (smartgrid_variant(valuation={"kind": "prelec", "alpha": 0.5}),
@@ -414,7 +410,7 @@ def smartgrid_variant(**prosumer0):
         "kernel-nan", "alpha-inf", "pmf-nan", "variance-inf", "support-inf", "knot-nan", "c2-inf",
         "c1-nan", "valuation-overflow", "values-string", "satisfaction-list", "generation-number",
         "satisfaction-nan", "storage-cost-inf", "prosumer-number", "support-fractional",
-        "support-three", "pmf-sum", "pmf-object", "knot-not-pair", "kernel-row", "weighting-kind",
+        "support-three", "pmf-sum", "pmf-object", "knot-not-pair", "weighting-kind",
         "valuation-kind", "kind-list", "points-number",
     ],
 )
@@ -424,6 +420,15 @@ def test_solve_rejects_non_finite_game_inputs(tmp_path, capsys, doc, message):
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_solve_accepts_a_pmf_at_the_edge_of_the_sum_tolerance(tmp_path, capsys):
+    # the pmf sums to 1 - 1e-12 within rounding, and the kernel row that
+    # groups its masses at the battery bounds must keep the rule too
+    doc = smartgrid_variant(generation={"support_min": -1, "pmf": [0.1, 0.1, 0.1, 0.699999999999]})
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("solve", "--config", cfg, "--out", tmp_path / "out") in (0, 1)
+    assert "error" not in capsys.readouterr().err
 
 
 STAY = pg.TransitionKernel.stationary(STAY_KERNEL["probs"])

@@ -1,4 +1,6 @@
-"""The README's library example runs as written, and its CLI lines parse."""
+"""The README's library example runs as written, its CLI lines parse, and
+its module map cites only private names that exist."""
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -34,3 +36,17 @@ def test_readme_distortion_kinds_match_the_config_schema():
     for section, line in listed.items():
         kinds = [entry.split()[0] for entry in line.split("|")]
         assert kinds == list(cli._DISTORTIONS[section]), section
+
+
+def test_readme_module_map_private_names_resolve():
+    # a row citing a private name that moved or was renamed goes stale
+    text = README.read_text()
+    rows = re.findall(r"^\| `(\w+)\.py` \| (.*) \|$", text, re.MULTILINE)
+    assert rows
+    cited = set()
+    for module_name, contents in rows:
+        module = importlib.import_module(f"ptgames.{module_name}")
+        for name in re.findall(r"`(_\w+)`", contents):
+            assert hasattr(module, name), f"{module_name}.py row cites {name}"
+            cited.add((module_name, name))
+    assert len(cited) >= 14

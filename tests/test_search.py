@@ -13,6 +13,7 @@ import pytest
 import ptgames as pg
 from ptgames import cli, criterion, search
 from ptgames.game import _distribution_problem
+from ptgames.marginals import _propagate
 from helpers import (
     compositions,
     enumerate_dm_policies,
@@ -1059,6 +1060,63 @@ def test_stage_one_bound_never_exceeds_the_gap():
     # the bound is positive, so it can rule a row out, in many of the cases
     # where the later stages move
     assert informative > 50, informative
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTINGS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_screen_weighs_the_stage_pass_tuples_at_its_columns(kind, n, monkeypatch):
+    # the screen's stage-1 tuple weights against the full-width ones of
+    # _stage_terms: bit for bit at the opponents' start-state columns and
+    # exactly 0 elsewhere, and the screen's payoff table is valued_payoffs
+    # at those columns, players ascending with the last varying fastest
+    rng = np.random.default_rng([n, 23, sorted(WEIGHTINGS).index(kind)])
+    game = mixed_size_game(rng, n, WEIGHTINGS[kind], stages=2)
+    weigh = pg.WeightingFunction.__call__
+    calls = []
+
+    def recording(self, probs):
+        calls.append(weigh(self, probs))
+        return calls[-1]
+
+    monkeypatch.setattr(pg.WeightingFunction, "__call__", recording)
+    for horizon in (1, 2, 3):
+        x = random_initial_state(rng, game)
+        screen = search._StageOneScreen(game, x, horizon)
+        grid = pg.ProfileGrid(game, horizon, 4)
+        block = np.stack([rng.integers(0, c, size=5) for c in grid.cell_sizes], axis=1)
+        calls.clear()
+        screen.lower_bounds(grid.first_stage(block, x))
+        screened = {}
+        for (players, *_, payoffs, _), weights in zip(screen.batches, calls, strict=True):
+            for k, i in enumerate(players):
+                screened[int(i)] = (payoffs[k], weights[:, k])
+        tables = [_propagate(game, j, d, x[j], horizon) for j, d in enumerate(grid.strategies(block))]
+        beta = game.discount_beta
+        later = sum(beta**k for k in range(1, horizon))
+        for i, p in enumerate(game.players):
+            calls.clear()
+            criterion._stage_terms(game, i, tables, 1)
+            (full,) = calls
+            others = [j for j in range(n) if j != i]
+            pairs = [x[j] * game.action_counts[j] + np.arange(game.action_counts[j]) for j in others]
+            columns = np.ravel_multi_index(
+                np.meshgrid(*pairs, indexing="ij"), [game.pair_count(j) for j in others]
+            ).ravel() if others else np.zeros(1, dtype=np.intp)
+            payoffs, weights = screened[i]
+            own = slice(x[i] * p.action_count, (x[i] + 1) * p.action_count)
+            assert payoffs.tobytes() == game.valued_payoffs[i][own][:, columns].tobytes()
+            assert full[:, columns].tobytes() == weights.tobytes()
+            rest = np.ones(full.shape[1], dtype=bool)
+            rest[columns] = False
+            assert np.all(full[:, rest] == 0.0)
+            # the spread and margin as closed expressions, evaluated in the
+            # same order, so the screen's bound keeps its bits
+            mass = criterion._weight_mass(p.weighting, game.opponent_pair_count(i))
+            spread = float(np.ptp(game.valued_payoffs[i], axis=0).max()) * mass * later
+            scale = float(game.value_bounds[i]) * mass * (1.0 + later)
+            chain = horizon * (game.opponent_pair_count(i) + game.pair_count(i) + game.n + 16)
+            assert screen.spread[i] == spread
+            assert screen.margin[i] == 8 * 2.0**-53 * chain * scale
 
 
 def test_screen_leaves_every_certificate_unchanged(monkeypatch):

@@ -180,6 +180,34 @@ def test_kernel_rows_are_distributions():
             assert np.allclose(table.sum(axis=2), 1.0, atol=1e-12)
 
 
+def test_every_accepted_pmf_gives_kernel_rows_that_keep_the_sum_rule():
+    # pmfs scaled to sum within rounding of 1 -/+ the 1e-12 tolerance, on
+    # supports that the battery bounds cut, so kernel rows group masses
+    rng = np.random.default_rng(2318)
+    accepted = 0
+    for _ in range(3000):
+        size = int(rng.integers(2, 9))
+        pmf = rng.dirichlet(np.ones(size))
+        pmf *= (1.0 + rng.choice([-1.0, 1.0]) * 1e-12 * (1.0 - rng.uniform(0.0, 1e-3))) / pmf.sum()
+        try:
+            gen = pg.GenerationDistribution(start=int(rng.integers(-size, 2)), pmf=pmf)
+        except ValueError:
+            continue
+        accepted += 1
+        spec = simple_prosumer(tau=int(rng.integers(3)), generation=gen)
+        for induced in (True, False):
+            table = pg.storage_kernel(spec, induced_demand=induced)
+            pg.TransitionKernel.stationary(table)  # raises on a row off the sum rule
+    assert accepted >= 2000, accepted
+
+
+def test_storage_kernel_takes_the_action_encoding_by_name_only():
+    with pytest.raises(TypeError):
+        pg.storage_kernel(simple_prosumer())
+    with pytest.raises(TypeError):
+        pg.storage_kernel(simple_prosumer(), 0, True)
+
+
 def test_full_encoding_indexes_consumption_demand_pairs():
     spec = simple_prosumer(tau=1, generation=pg.discretize_gaussian(0.5, 1.0))
     full = pg.storage_kernel(spec, induced_demand=False)
