@@ -170,7 +170,11 @@ class DeterministicMarkovPolicy:
             value = getattr(self, name)
             if not (_is_integer(value) and value >= low):
                 raise ValueError(f"{name}: must be an integer >= {low}, got {value!r}")
-        arr = np.array(self.choice, dtype=int)
+        arr = np.array(self.choice)
+        # the integer rule of ``game._is_integer``, entry by entry
+        if arr.dtype == bool or not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"choice: must hold integer action indices, got {arr.dtype} entries")
+        arr = arr.astype(int, copy=False)
         if arr.ndim != 2:
             raise ValueError(f"policy needs shape (horizon, S), got {arr.shape}")
         if np.any(arr < 0) or np.any(arr >= self.action_count):

@@ -17,23 +17,29 @@ repeat an earlier profile's certificate.  It still counts them.
 
 There is one certification pass, ``_evaluate``: stage marginals, then per
 player stage terms and backward induction, for a block of profiles at once.
-The search runs it on blocks of lattice index rows with the best worst gap
+The search runs it on chunks of lattice index rows with the best worst gap
 so far as a cutoff, so a row is dropped at the first player whose gap
 reaches it; the row it returns, the first passing one or else the best, is
 always evaluated in full.  ``certify`` runs it on a block of one profile
 without a cutoff.  Either way an :class:`EquilibriumCertificate`, which
 derives its verdict itself, is the result, and both agree bit for bit.
 
-Once the search has a finite cutoff, a stage-1 screen runs on each block
-before ``_evaluate``.  With the start state fixed, every player's stage-1
+A level's rows come in draws, and each draw is certified in chunks, in
+draw order.  Both sizes come from the one working-set bound
+``_BLOCK_ELEMENTS`` (``_block_sizes``): a chunk is sized by the widest
+opponent-tuple vector the pass weighs, a draw by the start-state tuples the
+stage-1 screen weighs, so on a wide game a draw holds many chunks.  Once
+the search has a finite cutoff, the screen bounds every pending row of the
+draw at once.  With the start state fixed, every player's stage-1
 deviation gain, less a bound on how far the discounted later stages can
 move (the largest payoff column spread times the Jensen bound on the
 stage's weight mass, ``criterion._continuation_spread``), is a lower bound
-on that player's gap.  A row whose bound reaches the cutoff plus a derived
-rounding margin has a computed gap of at least the cutoff, so dropping it
-changes no certificate; the screen reads the start-state cells only, which
-makes it far cheaper than the pass it spares.  ``_evaluate`` alone judges
-every row that survives, and the counts still cover the dropped rows.
+on that player's gap.  Before each chunk, a pending row whose bound reaches
+the current cutoff plus a derived rounding margin is dropped: its computed
+gap is at least the cutoff, so dropping it changes no certificate.  The
+screen reads the start-state cells only, which makes it far cheaper than
+the pass it spares.  ``_evaluate`` alone judges every row that survives,
+and the counts still cover the dropped rows.
 """
 from __future__ import annotations
 
@@ -69,9 +75,11 @@ __all__ = [
 # computed through the same tables, so anything beyond a few ulp is real.
 PASS_SLACK = 1e-12
 
-# A certification block holds at most this many elements of the widest
-# opponent-tuple vector (rows x tuples), which bounds the batched kernel's
-# working set whatever the game's width.
+# The one working-set bound, at two widths (``_block_sizes``): a
+# certification chunk holds at most this many elements of the widest
+# opponent-tuple vector (rows x tuples), and a draw at most this many of
+# the stage-1 screen's start-state tuples (rows x tuples, summed over
+# players), whatever the game's width.
 _BLOCK_ELEMENTS = 2**14
 
 # A lattice holds at most this many entries (rows x actions), 128 MiB of
@@ -295,6 +303,21 @@ def _live_cells(game: ValidatedGame, x: tuple, horizon: int) -> np.ndarray:
     return np.concatenate([_reachable(game, j, x[j], horizon).ravel() for j in range(game.n)])
 
 
+def _block_sizes(game: ValidatedGame) -> tuple[int, int]:
+    """Rows per certification chunk and per draw, under ``_BLOCK_ELEMENTS``.
+
+    The pass weighs each player's full opponent-tuple vector, so a chunk is
+    sized by the widest one.  The screen weighs only the start-state
+    tuples, prod_{j != i} A_j for each player i, so a draw is sized by
+    their sum; it is never smaller than a chunk.
+    """
+    counts = game.action_counts
+    widest = max(game.opponent_pair_count(i) for i in range(game.n))
+    screened = sum(math.prod(counts[:i] + counts[i + 1 :]) for i in range(game.n))
+    rows = max(1, _BLOCK_ELEMENTS // widest)
+    return rows, max(rows, _BLOCK_ELEMENTS // screened)
+
+
 def _grid_blocks(grid: ProfileGrid, live: np.ndarray, rows: int):
     """The profiles of ``grid`` whose dead cells (``~live``) have index 0, in
     enumeration order, ``rows`` at a time.
@@ -416,10 +439,10 @@ class _StageOneScreen:
             out[:, players] = q.max(axis=2) - own
         return out - self.spread
 
-    def survivors(self, first: np.ndarray, cutoff: float) -> np.ndarray:
-        """Indices of the rows that no player's bound rules out."""
-        dropped = self.lower_bounds(first) >= cutoff + self.margin
-        return np.flatnonzero(~dropped.any(axis=1))
+    def survives(self, bounds: np.ndarray, cutoff: float) -> np.ndarray:
+        """Mask of the rows of :meth:`lower_bounds`' ``bounds`` that no
+        player's bound rules out at ``cutoff``."""
+        return ~(bounds >= cutoff + self.margin).any(axis=1)
 
 
 def _evaluate(game: ValidatedGame, dists, x: tuple, horizon: int, cutoff: float = math.inf):
@@ -506,12 +529,14 @@ def search_equilibrium(
     those with index 0 in every dead cell, and counting the full grid); a
     larger one yields up to ``max_candidates`` distinct profiles drawn
     uniformly from a generator seeded with ``seed``, so it is deterministic
-    too.  Candidates are certified in blocks by ``_evaluate``, and the first
-    passing row's certificate is built from its own values.
-    ``initial_delta`` is rounded to a resolution once; an exhausted level
-    doubles it, up to ``refinement_cap`` times (stopping before a lattice
-    too fine to build).  Rows that the stage-1 screen rules out are counted
-    but not certified.  Exhausting the levels returns the certificate of the
+    too.  Each draw of candidates is certified by ``_evaluate`` in chunks,
+    in draw order, and the first passing row's certificate is built from
+    its own values.  ``initial_delta`` is rounded to a resolution once; an
+    exhausted level doubles it, up to ``refinement_cap`` times (stopping
+    before a lattice too fine to build).  Once a cutoff exists, the stage-1
+    screen bounds a draw's pending rows once; the rows it rules out at the
+    cutoff of the moment are counted but not certified.  Exhausting the
+    levels returns the certificate of the
     first candidate with the smallest worst gap, with ``passed`` false;
     ``levels`` and ``stop`` say how far the search went.  A first level too
     fine to build raises :class:`GridTooLargeError`.
@@ -519,8 +544,7 @@ def search_equilibrium(
     x = tuple(initial_state)
     _check_tables(game, initial_state=x)
     horizon = config.resolve_horizon(game)
-    widest = max(game.opponent_pair_count(i) for i in range(game.n))
-    rows = max(1, _BLOCK_ELEMENTS // widest)
+    rows, draw_rows = _block_sizes(game)
     resolution = _resolution(config.initial_delta)
     rng = np.random.default_rng(config.seed)
     live = _live_cells(game, x, horizon)
@@ -539,32 +563,42 @@ def search_equilibrium(
         levels = level + 1
         enumerated = grid.total_profiles <= config.max_candidates
         if enumerated:
-            blocks = _grid_blocks(grid, live, rows)
+            draws = _grid_blocks(grid, live, draw_rows)
         else:
-            blocks = _sampled_blocks(grid, rng, config.max_candidates, rows)
+            draws = _sampled_blocks(grid, rng, config.max_candidates, draw_rows)
         mode = "grid" if enumerated else "sampled"
-        for block in blocks:
+        for draw in draws:
             # a row with a gap of at least the best worst gap so far can
             # neither pass (that gap failed) nor replace it (strict <): the
-            # screen drops the rows whose stage-1 bound shows it, and
-            # ``_evaluate`` skips the later players of the others
-            cutoff = math.inf if best is None else best[0]
-            kept = np.arange(len(block))
-            candidates = block
-            if best is not None:
-                screen = screen or _StageOneScreen(game, x, horizon)
-                kept = screen.survivors(grid.first_stage(block, x), cutoff)
-                candidates = block[kept]
-            if len(kept):
+            # screen drops the rows whose stage-1 bound shows it, against
+            # the cutoff of the moment, and ``_evaluate`` skips the later
+            # players of the others.  A row's bound has the same bits in
+            # any draw, and rows are certified in draw order.
+            pending = np.arange(len(draw))
+            bounds = None  # of the pending rows, from the first finite cutoff on
+            while len(pending):
+                cutoff = math.inf if best is None else best[0]
+                if best is not None:
+                    if bounds is None:
+                        screen = screen or _StageOneScreen(game, x, horizon)
+                        bounds = screen.lower_bounds(grid.first_stage(draw[pending], x))
+                    kept = screen.survives(bounds, cutoff)
+                    pending, bounds = pending[kept], bounds[kept]
+                    if not len(pending):
+                        break
+                    bounds = bounds[rows:]  # the chunk's rows leave them below
+                chunk, pending = pending[:rows], pending[rows:]
+                # a chunk of the whole draw is the draw itself: no copy
+                candidates = draw if len(chunk) == len(draw) else draw[chunk]
                 values, best_values = _evaluate(game, grid.strategies(candidates), x, horizon, cutoff)
                 worst = _worst_gaps(best_values - values)
                 passing = np.flatnonzero(_passes(worst, config.epsilon))
                 if len(passing):
                     r = int(passing[0])
                     # an enumerated level counts every profile up to the
-                    # winner, skipped ones included; a sampled block every
+                    # winner, skipped ones included; a sampled draw every
                     # row up to it, screened ones included
-                    before = _position(candidates[r], grid) if enumerated else int(kept[r])
+                    before = _position(candidates[r], grid) if enumerated else int(chunk[r])
                     return EquilibriumCertificate(
                         grid.profile_at(candidates[r]), values[r], best_values[r], config.epsilon,
                         horizon, candidates_examined=examined + before + 1,
@@ -574,7 +608,7 @@ def search_equilibrium(
                 if best is None or worst[r] < best[0]:
                     best = (worst[r], grid, candidates[r], values[r], best_values[r])
             if not enumerated:
-                examined += len(block)
+                examined += len(draw)
         if enumerated:
             examined += grid.total_profiles
     _, where, indices, values, best_values = best

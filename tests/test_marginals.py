@@ -255,6 +255,26 @@ def test_deterministic_policy_accepts_numpy_integers():
     assert np.array_equal(pg.dm_policy_to_strategy(policy).dist, [[[0.0, 1.0]]])
 
 
+@pytest.mark.parametrize(
+    "choice", [[[0.5]], [[True]], [[np.nan]], [[1.0]], [["1"]], np.array([[0, 1]], dtype=float)]
+)
+def test_deterministic_policy_takes_only_integer_choices(choice):
+    # a cast to int used to take 0.5 as action 0 and True as action 1, and
+    # to fail inside numpy on NaN
+    with pytest.raises(ValueError, match="^choice: must hold integer action indices"):
+        pg.DeterministicMarkovPolicy(player=0, choice=choice, action_count=2)
+
+
+@pytest.mark.parametrize("dtype", [np.intp, np.int8, np.uint16])
+def test_deterministic_policy_keeps_integer_choice_arrays(dtype):
+    # best_response passes its argmax choices as an intp array
+    choice = np.array([[1, 0]], dtype=dtype)
+    policy = pg.DeterministicMarkovPolicy(player=0, choice=choice, action_count=2)
+    assert policy.choice.dtype == int
+    assert np.array_equal(policy.choice, [[1, 0]])
+    assert not policy.choice.flags.writeable and choice.flags.writeable
+
+
 def test_policy_marginals_match_path_enumeration():
     # independent oracle: enumerate every state path of a deterministic
     # policy and accumulate path probabilities

@@ -1,6 +1,7 @@
 """Lattice enumeration, certification, and the equilibrium search, enumerated
 and sampled."""
 import collections
+import itertools
 import json
 import math
 import runpy
@@ -860,23 +861,16 @@ BLOCK_CASES = [
 
 @pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
 def test_search_results_do_not_depend_on_block_size(monkeypatch, case):
+    # the rows per draw (sampled or enumerated, and screened) and per
+    # certification chunk vary independently; None keeps the default
     game, config = BLOCK_CASES[case]
     x = (0,) * game.n
-    widest = max(game.opponent_pair_count(i) for i in range(game.n))
-    results = []
-    for rows in (1, 7, None):  # None keeps the default block size
-        if rows is not None:
-            monkeypatch.setattr(search, "_BLOCK_ELEMENTS", rows * widest)
-        results.append(pg.search_equilibrium(game, x, config))
+    rows, draw_rows = search._block_sizes(game)
+    default = pg.search_equilibrium(game, x, config)
+    for chunk, draw in itertools.product((1, 7, None), repeat=2):
+        monkeypatch.setattr(search, "_block_sizes", lambda game: (chunk or rows, draw or draw_rows))
+        assert_same_certificate(pg.search_equilibrium(game, x, config), default)
         monkeypatch.undo()
-    first = results[0]
-    for cert in results[1:]:
-        assert (cert.passed, cert.candidates_examined, cert.final_delta) == (
-            first.passed, first.candidates_examined, first.final_delta
-        )
-        assert np.array_equal(cert.gaps, first.gaps)
-        for a, b in zip(cert.profile, first.profile):
-            assert np.array_equal(a.dist, b.dist)
 
 
 @pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
@@ -1119,17 +1113,39 @@ def test_screen_weighs_the_stage_pass_tuples_at_its_columns(kind, n, monkeypatch
             assert screen.margin[i] == 8 * 2.0**-53 * chain * scale
 
 
+@pytest.mark.parametrize("kind", sorted(WEIGHTINGS))
+def test_screen_bounds_do_not_depend_on_the_draw(kind):
+    # the search screens whole draws and drops rows chunk by chunk, so each
+    # row's bound must have the same bits in a block of one as in any draw
+    rng = np.random.default_rng([24, sorted(WEIGHTINGS).index(kind)])
+    for n in (1, 2, 3):
+        game = mixed_size_game(rng, n, WEIGHTINGS[kind], stages=2)
+        for horizon in (1, 3):
+            x = random_initial_state(rng, game)
+            screen = search._StageOneScreen(game, x, horizon)
+            grid = pg.ProfileGrid(game, horizon, 4)
+            draw = np.stack([rng.integers(0, c, size=85) for c in grid.cell_sizes], axis=1)
+            whole = screen.lower_bounds(grid.first_stage(draw, x))
+            assert whole.shape == (85, n)
+            for r in range(len(draw)):
+                alone = screen.lower_bounds(grid.first_stage(draw[r : r + 1], x))
+                assert alone.tobytes() == whole[r : r + 1].tobytes(), (n, horizon, r)
+            parts = [screen.lower_bounds(grid.first_stage(p, x)) for p in np.array_split(draw, 12)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
 def test_screen_leaves_every_certificate_unchanged(monkeypatch):
     # the search with the screen against the search without it, field for
-    # field: sampled and enumerated levels in blocks of four rows, passes
-    # and exhaustions, and blocks where dropped rows sit beside a survivor
-    # that becomes the new best
-    survivors = search._StageOneScreen.survivors
+    # field: sampled and enumerated levels in chunks of four rows, passes
+    # and exhaustions, and chunks where dropped rows sit beside a survivor
+    # that becomes the new best.  The hook is the drop rule the search
+    # applies to the pending rows before every chunk.
+    survives = search._StageOneScreen.survives
     screened_blocks = []
 
-    def recording(self, first, cutoff):
-        kept = survivors(self, first, cutoff)
-        screened_blocks.append((cutoff, len(first), len(kept)))
+    def recording(self, bounds, cutoff):
+        kept = survives(self, bounds, cutoff)
+        screened_blocks.append((cutoff, len(bounds), int(kept.sum())))
         return kept
 
     seen = collections.Counter()
@@ -1150,7 +1166,7 @@ def test_screen_leaves_every_certificate_unchanged(monkeypatch):
         )
         widest = max(game.opponent_pair_count(i) for i in range(game.n))
         monkeypatch.setattr(search, "_BLOCK_ELEMENTS", 4 * widest)
-        monkeypatch.setattr(search._StageOneScreen, "survivors", recording)
+        monkeypatch.setattr(search._StageOneScreen, "survives", recording)
         screened_blocks.clear()
         screened = pg.search_equilibrium(game, x, config)
         for (cutoff, rows, kept), following in zip(screened_blocks, screened_blocks[1:]):
@@ -1171,18 +1187,28 @@ def test_screen_lets_few_six_prosumer_rows_reach_the_pass(monkeypatch):
     game = pg.build_prosumer_game(six_prosumers(), discount_beta=0.001)
     evaluate = search._evaluate
     rows = 0
+    lower_bounds = search._StageOneScreen.lower_bounds
+    calls = collections.Counter()
 
     def counting(game, dists, x, horizon, cutoff):
         nonlocal rows
         rows += len(dists[0])
+        calls["evaluate"] += 1
         return evaluate(game, dists, x, horizon, cutoff)
 
+    def screening(self, first):
+        calls["screen"] += 1
+        return lower_bounds(self, first)
+
     monkeypatch.setattr(search, "_evaluate", counting)
+    monkeypatch.setattr(search._StageOneScreen, "lower_bounds", screening)
     config = pg.SearchConfig(
         epsilon=1e-4, max_candidates=400, horizon=4, seed=20250817, refinement_cap=0
     )
     screened = pg.search_equilibrium(game, (0,) * 6, config)
     assert screened.candidates_examined == 400
     assert rows <= 20
+    # one screen per draw of 85 rows, not one per 2-row chunk
+    assert calls["screen"] <= 5 and calls["evaluate"] <= 5, calls
     screen_off(monkeypatch)
     assert_same_certificate(screened, pg.search_equilibrium(game, (0,) * 6, config))
