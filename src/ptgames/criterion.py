@@ -17,7 +17,8 @@ bound into a simplex grid step fine enough for grid search (only available
 when every weighting function is Lipschitz, which rules out prelec).
 ``_weight_mass`` bounds a stage's weight sum by Jensen's inequality, and
 ``_continuation_spread`` turns it into how far the stages after the first
-can move a value, which the search's stage-1 screen subtracts less a margin.
+can move a value.  The search's stage-1 screen, ``_stage_terms`` at
+horizon 1 on the start states, subtracts it less a margin.
 """
 from __future__ import annotations
 
@@ -71,18 +72,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon: must be positive and finite, got {epsilon}")
 
 
-def _opponent_tuples(factors, lead: tuple) -> np.ndarray:
-    """Joint probabilities of the opponent tuples, shape ``lead`` + (tuples,),
-    from one factor per opponent, players ascending, each of shape ``lead`` +
-    (pairs,): the last varies fastest, the column order of ``valued_payoffs``.
-    The one opponent-tuple product; each caller applies its own weighting."""
-    # the first factor stands for 1 times itself, which is exact
-    tuples = factors[0] if factors else np.ones((*lead, 1))
-    for factor in factors[1:]:
-        tuples = (tuples[..., np.newaxis] * factor[..., np.newaxis, :]).reshape(*lead, -1)
-    return tuples
-
-
 def _stage_terms(game: ValidatedGame, player: int, tables, horizon: int):
     """Discounted induced stage rewards, shape (rows, horizon, S*A), and the
     player's discounted stage contributions, shape (rows, horizon), for a
@@ -91,9 +80,11 @@ def _stage_terms(game: ValidatedGame, player: int, tables, horizon: int):
 
     The player's own table may be None (no contributions then).  Each stage
     applies the weighting once to the joint probability of every opponent
-    tuple (``_opponent_tuples``).  Rewards and values run as one
-    matrix-vector product per row, whose rounding does not depend on the
-    row's position in the block, so every row matches a block of one.
+    tuple, a product of one factor per opponent, players ascending with the
+    last varying fastest: the column order of ``valued_payoffs``.  Rewards
+    and values run as one matrix-vector product per row, whose rounding
+    does not depend on the row's position in the block, so every row
+    matches a block of one.
     """
     own = tables[player]
     rows = next((len(t) for t in tables if t is not None), 1)
@@ -102,7 +93,11 @@ def _stage_terms(game: ValidatedGame, player: int, tables, horizon: int):
     discount = 1.0
     for k in range(horizon):
         factors = [table[:, k].reshape(rows, -1) for j, table in enumerate(tables) if j != player]
-        weights = game.players[player].weighting(_opponent_tuples(factors, (rows,)))
+        # the first factor stands for 1 times itself, which is exact
+        tuples = factors[0] if factors else np.ones((rows, 1))
+        for factor in factors[1:]:
+            tuples = (tuples[:, :, np.newaxis] * factor[:, np.newaxis, :]).reshape(rows, -1)
+        weights = game.players[player].weighting(tuples)
         payoff = game.valued_payoffs[player] @ weights[:, :, np.newaxis]
         rewards[:, k] = discount * payoff[:, :, 0]
         if own is not None:
@@ -240,9 +235,9 @@ def _weight_mass(weighting, tuples: int) -> float:
 # chain from the tuple probabilities to a term: n - 1 tuple products, a few
 # in the weighting, one per term of the dot products over the K_i opponent
 # tuples and the S_i*A_i own pairs, and per stage the discount, the stage
-# sum and the backward recursion's expectation.  The screen and
-# ``_stage_terms`` both take their tuple probabilities from
-# ``_opponent_tuples``, so both weigh the same probabilities.  The classic
+# sum and the backward recursion's expectation.  The screen is
+# ``_stage_terms`` at horizon 1, on the game restricted to the start
+# states, so it weighs the same tuple probabilities.  The classic
 # bound puts each term within 1.01 * m_i * u * scale_i of its exact value
 # for the computed weights, where scale_i bounds the sum of its absolute
 # parts.  The rounded weights can sum above M_i by a few u per tuple, which

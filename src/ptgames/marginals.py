@@ -108,9 +108,14 @@ class _PlayerTable:
 
     def _freeze(self, rule: str) -> None:
         """Replace the array field by a read-only float copy, after the
-        shape rule and the entry ``rule``."""
+        real-number rule, the shape rule and the entry ``rule``."""
         name = fields(self)[-1].name
-        arr = np.array(getattr(self, name), dtype=float)
+        arr = np.array(getattr(self, name))
+        # signed, unsigned or floating: a bool, string or complex entry
+        # would cast silently or raise numpy's own error
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"{self.noun} must hold real numbers, got {arr.dtype} entries")
+        arr = arr.astype(float, copy=False)
         if arr.ndim != 3:
             raise ValueError(f"{self.noun} needs shape (horizon, S, A), got {arr.shape}")
         problem = _distribution_problem(arr, rule)

@@ -34,12 +34,15 @@ draw at once.  With the start state fixed, every player's stage-1
 deviation gain, less a bound on how far the discounted later stages can
 move (the largest payoff column spread times the Jensen bound on the
 stage's weight mass, ``criterion._continuation_spread``), is a lower bound
-on that player's gap.  Before each chunk, a pending row whose bound reaches
-the current cutoff plus a derived rounding margin is dropped: its computed
-gap is at least the cutoff, so dropping it changes no certificate.  The
-screen reads the start-state cells only, which makes it far cheaper than
-the pass it spares.  ``_evaluate`` alone judges every row that survives,
-and the counts still cover the dropped rows.
+on that player's gap.  The stage-1 gain is ``_evaluate`` itself, at
+horizon 1 on the game restricted to the start states, so the pass is the
+only code that computes a value or a best response.  Before each chunk, a
+pending row whose bound reaches the current cutoff plus a derived rounding
+margin is dropped: its computed gap is at least the cutoff, so dropping it
+changes no certificate.  The screen reads the start-state cells only,
+which makes it far cheaper than the pass it spares.  ``_evaluate`` alone
+judges every row that survives, and the counts still cover the dropped
+rows.
 """
 from __future__ import annotations
 
@@ -54,11 +57,10 @@ from .criterion import (
     _check_epsilon,
     _continuation_spread,
     _deviation_allowance,
-    _opponent_tuples,
     _stage_terms,
     truncation_horizon,
 )
-from .game import ValidatedGame, _is_integer
+from .game import GameSpec, PlayerSpec, TransitionKernel, ValidatedGame, _is_integer, validate_game
 from .marginals import MarkovStrategy, _check_tables, _propagate, _reachable
 
 __all__ = [
@@ -268,15 +270,16 @@ class ProfileGrid:
             start = stop
         return out
 
-    def first_stage(self, block: np.ndarray, x: tuple) -> np.ndarray:
-        """Stage-1 action distributions at the start states ``x`` of the
-        profiles whose per-cell indices are the rows of ``block``, shape
-        (rows, players, A) for the largest action count A: zeros past a
-        player's own count."""
-        out = np.zeros((len(block), self.game.n, max(self.game.action_counts)))
+    def first_stage(self, block: np.ndarray, x: tuple) -> list:
+        """Per-player stage-1 strategy blocks at the start states ``x``, each
+        of shape (rows, 1, 1, A), of the profiles whose per-cell indices are
+        the rows of ``block``: the layout of :meth:`strategies` on the
+        stage-1 screen's one-state game."""
+        out = []
         start = 0
         for j, p in enumerate(self.game.players):
-            out[:, j, : p.action_count] = self._options[p.action_count][block[:, start + x[j]]]
+            dist = self._options[p.action_count][block[:, start + x[j]]]
+            out.append(dist.reshape(len(block), 1, 1, p.action_count))
             start += self.horizon * p.state_count
         return out
 
@@ -388,56 +391,35 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
 class _StageOneScreen:
     """A sound lower bound on every player's gap from stage 1 alone.
 
-    From the fixed start state x, stage 1 is a one-state choice: player i's
-    stage-1 rewards q1(a) need only ``valued_payoffs[i]`` restricted to
-    (x_i, .; x_j, .).  Playing a best stage-1 action and then the profile's
-    own strategy gains q1(a*) - sigma_i(1, x_i).q1 at stage 1 and loses at
-    most D_i (``spread``) at the later stages, so the gap is at least their
-    difference.  A row whose bound reaches the cutoff plus the rounding
-    ``margin`` for some player has a computed gap of at least the cutoff: it
-    can neither pass nor become the best.  Both come from
-    ``criterion._continuation_spread``.
-
-    Players with the same action count, the same opponents' action counts
-    and the same weighting run as one batch, with one weighting call.  The
-    tuple probabilities and the start-state columns both come from
-    ``criterion._opponent_tuples``, the product ``_stage_terms`` weighs.
+    From the fixed start state x, stage 1 is a one-state choice: it is the
+    certification pass at horizon 1 on the **start game**, the game
+    restricted to x.  There each player has one state that it never
+    leaves, the same actions, weighting and valuation, and the payoff
+    entries at x, so its valued payoffs are the full game's at x.  Playing
+    a best stage-1 action and then the profile's own strategy gains the
+    start game's gap at stage 1 and loses at most D_i (``spread``) at the
+    later stages, so the gap is at least their difference.  A row whose
+    bound reaches the cutoff plus the rounding ``margin`` for some player
+    has a computed gap of at least the cutoff: it can neither pass nor
+    become the best.  Both come from ``criterion._continuation_spread``.
     """
 
     def __init__(self, game: ValidatedGame, x: tuple, horizon: int):
-        counts = game.action_counts
-        # "state == x_j" per (state, action): the product marks start-state columns
-        at_start = [np.repeat(np.arange(s) == x[j], counts[j]) for j, s in enumerate(game.state_counts)]
-        batches = {}
-        for i, p in enumerate(game.players):
-            batches.setdefault((counts[i], counts[:i] + counts[i + 1 :], p.weighting), []).append(i)
-        self.batches = []
-        for (count, opponent_counts, weighting), players in batches.items():
-            others = np.array(
-                [[j for j in range(game.n) if j != i] for i in players], dtype=np.intp
-            ).reshape(len(players), -1)
-            tables = []
-            for i, row in zip(players, others):
-                columns = np.flatnonzero(_opponent_tuples([at_start[j] for j in row], ()))
-                tables.append(game.valued_payoffs[i][x[i] * count : (x[i] + 1) * count, columns])
-            self.batches.append(
-                (np.array(players), others, opponent_counts, count, np.stack(tables), weighting)
-            )
+        players = [
+            PlayerSpec(1, p.action_count, TransitionKernel(np.ones((1, p.action_count, 1))),
+                       p.weighting, p.valuation)
+            for p in game.players
+        ]
+        payoff = game.payoff_table[(slice(None), *(slice(s, s + 1) for s in x))]
+        self.game = validate_game(GameSpec(players, game.discount_beta, payoff))
         self.spread, self.margin = _continuation_spread(game, horizon)
 
-    def lower_bounds(self, first: np.ndarray) -> np.ndarray:
+    def lower_bounds(self, first) -> np.ndarray:
         """Each player's gap lower bound, shape (rows, players), for the
-        stage-1 action distributions ``first`` at the start states, as
+        stage-1 strategy blocks ``first`` at the start states, as
         :meth:`ProfileGrid.first_stage` gives them."""
-        rows = len(first)
-        out = np.empty((rows, len(self.spread)))
-        for players, others, opponent_counts, count, payoffs, weighting in self.batches:
-            factors = [first[:, column, :size] for column, size in zip(others.T, opponent_counts)]
-            tuples = _opponent_tuples(factors, (rows, len(players)))
-            q = (payoffs @ weighting(tuples)[..., np.newaxis])[..., 0]
-            own = (first[:, players, np.newaxis, :count] @ q[..., np.newaxis])[..., 0, 0]
-            out[:, players] = q.max(axis=2) - own
-        return out - self.spread
+        values, best_values = _evaluate(self.game, first, (0,) * self.game.n, 1, math.inf)
+        return best_values - values - self.spread
 
     def survives(self, bounds: np.ndarray, cutoff: float) -> np.ndarray:
         """Mask of the rows of :meth:`lower_bounds`' ``bounds`` that no

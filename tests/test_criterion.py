@@ -255,6 +255,28 @@ def test_truncation_horizon_rejects_nonpositive_epsilon():
         pg.truncation_horizon(0.0, game)
 
 
+def test_truncation_horizon_is_the_smallest_horizon_within_the_bound():
+    # the log-space inversion in truncation_horizon against the tail bound
+    # itself: its horizon keeps every player's bound within a share of
+    # epsilon, and one stage fewer (above the floor of 1) does not
+    rng = np.random.default_rng(2501)
+    tight = 0
+    for case in range(400):
+        game = random_game(
+            rng, n=int(rng.integers(1, 4)), max_states=2, max_actions=2,
+            beta=float(rng.uniform(0.01, 0.99)),
+        )
+        for epsilon in (1e-1, 1e-4, 1e-8):
+            share = epsilon / 3
+            horizon = pg.truncation_horizon(epsilon, game)
+            assert np.all(pg.truncation_error_bound(game, horizon) <= share * (1 + 1e-12)), case
+            if horizon > 1:
+                before = pg.truncation_error_bound(game, horizon - 1)
+                assert np.any(before > share * (1 - 1e-12)), (case, epsilon)
+                tight += 1
+    assert tight > 1000
+
+
 def test_truncation_error_bound_formula_and_decay():
     game = unit_bound_game(0.5)
     for m in range(1, 6):

@@ -275,6 +275,31 @@ def test_deterministic_policy_keeps_integer_choice_arrays(dtype):
     assert not policy.choice.flags.writeable and choice.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "table, field",
+    [(pg.MarkovStrategy, "dist"), (pg.MarginalTable, "probs"), (pg.StageRewardTable, "rewards")],
+)
+@pytest.mark.parametrize(
+    "entries, dtype",
+    [([[[True, False]]], "bool"), ([[["1", "0"]]], "<U1"), ([[[1 + 0j, 0j]]], "complex128")],
+)
+def test_player_tables_take_only_real_numbers(table, field, entries, dtype):
+    # a float cast used to take True and "1" as 1.0, and to fail inside
+    # numpy on a complex entry
+    message = f"{table.noun} must hold real numbers, got {dtype} entries"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        table(player=0, **{field: entries})
+
+
+@pytest.mark.parametrize("dtype", [np.intp, np.uint8, np.float32])
+def test_player_tables_keep_integer_and_float_arrays(dtype):
+    entries = np.array([[[1, 0]]], dtype=dtype)
+    strategy = pg.MarkovStrategy(player=0, dist=entries)
+    assert strategy.dist.dtype == float
+    assert np.array_equal(strategy.dist, [[[1.0, 0.0]]])
+    assert not strategy.dist.flags.writeable and entries.flags.writeable
+
+
 def test_policy_marginals_match_path_enumeration():
     # independent oracle: enumerate every state path of a deterministic
     # policy and accumulate path probabilities

@@ -959,14 +959,15 @@ def test_lazy_pass_matches_full_pass_on_random_games(monkeypatch):
 def test_lazy_pass_prunes_most_player_rows_on_six_prosumers(monkeypatch):
     # the prosumer-wide benchmark run: 400 sampled candidates, none of which
     # passes; one player's gap rules most of them out of the best
+    # (the stage-1 screen's calls, on its start-state game, are not counted)
     game = pg.build_prosumer_game(six_prosumers(), discount_beta=0.001)
     stage_terms = search._stage_terms
     rows = 0
 
-    def counting(game, player, tables, horizon):
+    def counting(on, player, tables, horizon):
         nonlocal rows
-        rows += len(tables[0])
-        return stage_terms(game, player, tables, horizon)
+        rows += len(tables[0]) if on is game else 0
+        return stage_terms(on, player, tables, horizon)
 
     monkeypatch.setattr(search, "_stage_terms", counting)
     config = pg.SearchConfig(
@@ -1001,13 +1002,10 @@ def assert_same_certificate(screened, plain):
             assert a == b, f.name
 
 
-def first_stage_of(game, profile, x):
-    """``ProfileGrid.first_stage`` of one profile: its stage-1 action
-    distributions at the start states, padded to the largest action count."""
-    first = np.zeros((1, game.n, max(game.action_counts)))
-    for j, strategy in enumerate(profile):
-        first[0, j, : strategy.action_count] = strategy.dist[0, x[j]]
-    return first
+def first_stage_of(profile, x):
+    """``ProfileGrid.first_stage`` of one profile: per player, its stage-1
+    action distribution at the start state, shape (1, 1, 1, A)."""
+    return [strategy.dist[np.newaxis, :1, x[j] : x[j] + 1] for j, strategy in enumerate(profile)]
 
 
 def one_hot_profile(rng, game, horizon):
@@ -1039,7 +1037,7 @@ def test_stage_one_bound_never_exceeds_the_gap():
         grid = pg.ProfileGrid(game, horizon, 2)
         row = np.array([rng.integers(size) for size in grid.cell_sizes])
         cases = [
-            (profile, first_stage_of(game, profile, x))
+            (profile, first_stage_of(profile, x))
             for profile in (random_profile(rng, game, horizon), one_hot_profile(rng, game, horizon))
         ]
         cases.append((grid.profile_at(row), grid.first_stage(row[np.newaxis], x)))
@@ -1061,8 +1059,9 @@ def test_stage_one_bound_never_exceeds_the_gap():
 def test_screen_weighs_the_stage_pass_tuples_at_its_columns(kind, n, monkeypatch):
     # the screen's stage-1 tuple weights against the full-width ones of
     # _stage_terms: bit for bit at the opponents' start-state columns and
-    # exactly 0 elsewhere, and the screen's payoff table is valued_payoffs
-    # at those columns, players ascending with the last varying fastest
+    # exactly 0 elsewhere, and the start game's payoff table is
+    # valued_payoffs at those columns, players ascending with the last
+    # varying fastest
     rng = np.random.default_rng([n, 23, sorted(WEIGHTINGS).index(kind)])
     game = mixed_size_game(rng, n, WEIGHTINGS[kind], stages=2)
     weigh = pg.WeightingFunction.__call__
@@ -1080,10 +1079,9 @@ def test_screen_weighs_the_stage_pass_tuples_at_its_columns(kind, n, monkeypatch
         block = np.stack([rng.integers(0, c, size=5) for c in grid.cell_sizes], axis=1)
         calls.clear()
         screen.lower_bounds(grid.first_stage(block, x))
-        screened = {}
-        for (players, *_, payoffs, _), weights in zip(screen.batches, calls, strict=True):
-            for k, i in enumerate(players):
-                screened[int(i)] = (payoffs[k], weights[:, k])
+        # one weighting call per player, players ascending
+        screened = list(calls)
+        assert len(screened) == n
         tables = [_propagate(game, j, d, x[j], horizon) for j, d in enumerate(grid.strategies(block))]
         beta = game.discount_beta
         later = sum(beta**k for k in range(1, horizon))
@@ -1096,10 +1094,10 @@ def test_screen_weighs_the_stage_pass_tuples_at_its_columns(kind, n, monkeypatch
             columns = np.ravel_multi_index(
                 np.meshgrid(*pairs, indexing="ij"), [game.pair_count(j) for j in others]
             ).ravel() if others else np.zeros(1, dtype=np.intp)
-            payoffs, weights = screened[i]
             own = slice(x[i] * p.action_count, (x[i] + 1) * p.action_count)
+            payoffs = screen.game.valued_payoffs[i]
             assert payoffs.tobytes() == game.valued_payoffs[i][own][:, columns].tobytes()
-            assert full[:, columns].tobytes() == weights.tobytes()
+            assert full[:, columns].tobytes() == screened[i].tobytes()
             rest = np.ones(full.shape[1], dtype=bool)
             rest[columns] = False
             assert np.all(full[:, rest] == 0.0)
@@ -1183,18 +1181,21 @@ def test_screen_leaves_every_certificate_unchanged(monkeypatch):
 
 def test_screen_lets_few_six_prosumer_rows_reach_the_pass(monkeypatch):
     # the prosumer-wide benchmark run: stage 1 alone rules out nearly every
-    # one of its 400 sampled candidates, and the certificate is unchanged
+    # one of its 400 sampled candidates, and the certificate is unchanged.
+    # Only the passes on the full game count, not the screen's own pass on
+    # its start-state game.
     game = pg.build_prosumer_game(six_prosumers(), discount_beta=0.001)
     evaluate = search._evaluate
     rows = 0
     lower_bounds = search._StageOneScreen.lower_bounds
     calls = collections.Counter()
 
-    def counting(game, dists, x, horizon, cutoff):
+    def counting(on, dists, x, horizon, cutoff):
         nonlocal rows
-        rows += len(dists[0])
-        calls["evaluate"] += 1
-        return evaluate(game, dists, x, horizon, cutoff)
+        if on is game:
+            rows += len(dists[0])
+            calls["evaluate"] += 1
+        return evaluate(on, dists, x, horizon, cutoff)
 
     def screening(self, first):
         calls["screen"] += 1
