@@ -17,8 +17,11 @@ bound into a simplex grid step fine enough for grid search (only available
 when every weighting function is Lipschitz, which rules out prelec).
 ``_weight_mass`` bounds a stage's weight sum by Jensen's inequality, and
 ``_continuation_spread`` turns it into how far the stages after the first
-can move a value.  The search's stage-1 screen, ``_stage_terms`` at
-horizon 1 on the start states, subtracts it less a margin.
+can move a value, with a rounding margin.  The search's stage-1 screen is
+the certification pass (``search._evaluate``) at horizon 1 on the start
+game, the game restricted to the start states: it subtracts the spread
+from each player's stage-1 gap and adds the margin to the cutoff it
+compares that bound with.
 """
 from __future__ import annotations
 

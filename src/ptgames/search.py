@@ -39,10 +39,12 @@ horizon 1 on the game restricted to the start states, so the pass is the
 only code that computes a value or a best response.  Before each chunk, a
 pending row whose bound reaches the current cutoff plus a derived rounding
 margin is dropped: its computed gap is at least the cutoff, so dropping it
-changes no certificate.  The screen reads the start-state cells only,
-which makes it far cheaper than the pass it spares.  ``_evaluate`` alone
-judges every row that survives, and the counts still cover the dropped
-rows.
+changes no certificate.  The screen reads the start-state cells only, one
+per player, so a row's bound depends on that combination of cells alone:
+the screen bounds each combination once per lattice level and looks the
+bounds of every later row with it up (27 combinations at the reference's
+first level).  ``_evaluate`` alone judges every row that survives, and the
+counts still cover the dropped rows.
 """
 from __future__ import annotations
 
@@ -90,7 +92,7 @@ _LATTICE_ENTRIES = 2**24
 
 
 class GridTooLargeError(RuntimeError):
-    """A lattice is too fine to build."""
+    """A lattice is too fine, or a profile's index row too long, to build."""
 
 
 @dataclass(frozen=True)
@@ -270,18 +272,25 @@ class ProfileGrid:
             start = stop
         return out
 
+    def start_cells(self, x: tuple) -> list:
+        """The column of each player j's stage-1 cell at its start state
+        ``x[j]``, sum_{j' < j} horizon * S_j' + x[j]: the only columns
+        :meth:`first_stage` reads."""
+        columns, start = [], 0
+        for j, p in enumerate(self.game.players):
+            columns.append(start + x[j])
+            start += self.horizon * p.state_count
+        return columns
+
     def first_stage(self, block: np.ndarray, x: tuple) -> list:
         """Per-player stage-1 strategy blocks at the start states ``x``, each
         of shape (rows, 1, 1, A), of the profiles whose per-cell indices are
         the rows of ``block``: the layout of :meth:`strategies` on the
         stage-1 screen's one-state game."""
-        out = []
-        start = 0
-        for j, p in enumerate(self.game.players):
-            dist = self._options[p.action_count][block[:, start + x[j]]]
-            out.append(dist.reshape(len(block), 1, 1, p.action_count))
-            start += self.horizon * p.state_count
-        return out
+        return [
+            self._options[p.action_count][block[:, column]].reshape(len(block), 1, 1, p.action_count)
+            for p, column in zip(self.game.players, self.start_cells(x))
+        ]
 
     def profile_at(self, indices) -> tuple:
         """Materialize the profile for one per-cell index assignment."""
@@ -402,6 +411,12 @@ class _StageOneScreen:
     bound reaches the cutoff plus the rounding ``margin`` for some player
     has a computed gap of at least the cutoff: it can neither pass nor
     become the best.  Both come from ``criterion._continuation_spread``.
+
+    A row's bound reads only its n start-state cell indices (its digits,
+    :meth:`ProfileGrid.start_cells`), so :meth:`bounds` keeps a table from
+    digit combinations to bound rows for the grid of the moment: each
+    combination is bounded once per lattice level, on one representative
+    row, and every other row with its digits looks that row up.
     """
 
     def __init__(self, game: ValidatedGame, x: tuple, horizon: int):
@@ -413,6 +428,39 @@ class _StageOneScreen:
         payoff = game.payoff_table[(slice(None), *(slice(s, s + 1) for s in x))]
         self.game = validate_game(GameSpec(players, game.discount_beta, payoff))
         self.spread, self.margin = _continuation_spread(game, horizon)
+        self.x = x
+        self._grid = None  # the grid the table below is for
+        self._table = {}  # start-cell digits (a tuple) -> lower_bounds row
+
+    def bounds(self, grid: ProfileGrid, block: np.ndarray) -> np.ndarray:
+        """:meth:`lower_bounds` of the rows of ``block``, per-cell index rows
+        of ``grid``, from the table: only combinations of start-state digits
+        it lacks are evaluated, one row each.  A row's bound has the same
+        bits alone and in any block, so a looked-up row equals a computed
+        one."""
+        if grid is not self._grid:
+            # at another resolution the same digits name other distributions
+            self._grid, self._table = grid, {}
+            self._columns = grid.start_cells(self.x)
+            # the narrowest integer that holds every index sorts fastest
+            self._digit_type = np.min_scalar_type(max(grid.cell_sizes) - 1)
+        digits = block.T[self._columns].astype(self._digit_type)
+        # group the rows by their digits: sort them, and mark where a new
+        # combination begins
+        order = np.lexsort(digits)
+        ordered = digits[:, order]
+        begins = np.empty(len(order), dtype=bool)
+        begins[:1] = True
+        np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=begins[1:])
+        group = np.empty_like(order)
+        group[order] = np.cumsum(begins) - 1
+        keys = list(map(tuple, ordered[:, begins].T.tolist()))
+        new = [g for g, key in enumerate(keys) if key not in self._table]
+        if new:
+            representatives = order[np.flatnonzero(begins)[new]]
+            rows = self.lower_bounds(grid.first_stage(block[representatives], self.x))
+            self._table.update(zip((keys[g] for g in new), rows))
+        return np.take([self._table[key] for key in keys], group, axis=0)
 
     def lower_bounds(self, first) -> np.ndarray:
         """Each player's gap lower bound, shape (rows, players), for the
@@ -516,16 +564,26 @@ def search_equilibrium(
     its own values.  ``initial_delta`` is rounded to a resolution once; an
     exhausted level doubles it, up to ``refinement_cap`` times (stopping
     before a lattice too fine to build).  Once a cutoff exists, the stage-1
-    screen bounds a draw's pending rows once; the rows it rules out at the
-    cutoff of the moment are counted but not certified.  Exhausting the
-    levels returns the certificate of the
-    first candidate with the smallest worst gap, with ``passed`` false;
-    ``levels`` and ``stop`` say how far the search went.  A first level too
-    fine to build raises :class:`GridTooLargeError`.
+    screen bounds a draw's pending rows once, evaluating only the
+    start-state combinations it has not bounded at this level; the rows it
+    rules out at the cutoff of the moment are counted but not certified.
+    Exhausting the levels returns the certificate of the first candidate
+    with the smallest worst gap, with ``passed`` false; ``levels`` and
+    ``stop`` say how far the search went.  A horizon whose index row
+    (horizon x states cells) outgrows ``_LATTICE_ENTRIES``, or a first
+    level too fine to build, raises :class:`GridTooLargeError`.
     """
     x = tuple(initial_state)
     _check_tables(game, initial_state=x)
     horizon = config.resolve_horizon(game)
+    cells = horizon * sum(game.state_counts)
+    if cells > _LATTICE_ENTRIES:
+        # one index row of the grid, and the reach table behind it, would
+        # already outgrow the lattice bound
+        raise GridTooLargeError(
+            f"horizon {horizon} gives each profile {_count_text(cells)} cells (horizon x states), "
+            f"above {_LATTICE_ENTRIES} entries; use a shorter horizon"
+        )
     rows, draw_rows = _block_sizes(game)
     resolution = _resolution(config.initial_delta)
     rng = np.random.default_rng(config.seed)
@@ -563,7 +621,7 @@ def search_equilibrium(
                 if best is not None:
                     if bounds is None:
                         screen = screen or _StageOneScreen(game, x, horizon)
-                        bounds = screen.lower_bounds(grid.first_stage(draw[pending], x))
+                        bounds = screen.bounds(grid, draw if len(pending) == len(draw) else draw[pending])
                     kept = screen.survives(bounds, cutoff)
                     pending, bounds = pending[kept], bounds[kept]
                     if not len(pending):

@@ -1,7 +1,12 @@
 """Config loading, CSV round trips, and the command-line entry points."""
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +17,7 @@ from ptgames import cli, criterion, search
 from ptgames.marginals import _check_tables
 
 BUNDLED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartgrid.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 STAY_KERNEL = {"mode": "stationary", "probs": [[[1.0], [1.0]]]}
 
@@ -779,6 +785,30 @@ def test_solve_refuses_a_lattice_too_fine_to_build(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solve: lattice at step 1e-12 over 2 actions holds" in err
     assert "use a coarser initial_delta" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", [10**30, 10**7])
+def test_solve_refuses_a_horizon_too_long_to_index(tmp_path, horizon):
+    # one index row of the bundled game holds horizon x 9 cells, above the
+    # lattice bound: refused before the reach table is built, with exit 2,
+    # no traceback, and in seconds under a 3 GB address-space limit
+    doc = json.loads(BUNDLED_CONFIG.read_text())
+    doc["run"]["horizon"] = horizon
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "ptgames.cli", "solve", "--config", write_config(tmp_path, doc), "--out", out]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    started = time.perf_counter()
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60)
+    assert time.perf_counter() - started < 10
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"solve: horizon {horizon} gives each profile" in done.stderr
+    assert "use a shorter horizon" in done.stderr
     assert not out.exists()
 
 

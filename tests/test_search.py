@@ -32,6 +32,7 @@ from helpers import (
 )
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+BUNDLED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartgrid.json"
 
 BETA = 0.1
 
@@ -1130,6 +1131,67 @@ def test_screen_bounds_do_not_depend_on_the_draw(kind):
                 assert alone.tobytes() == whole[r : r + 1].tobytes(), (n, horizon, r)
             parts = [screen.lower_bounds(grid.first_stage(p, x)) for p in np.array_split(draw, 12)]
             assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTINGS))
+def test_screen_table_matches_lower_bounds(kind):
+    # the bounds the screen looks up against lower_bounds of each row's own
+    # stage-1 blocks, bit for bit: three draws per level that repeat
+    # start-state combinations within and across draws, then a level at
+    # double resolution, where the same digits name other distributions
+    # (a table kept across levels fails here)
+    rng = np.random.default_rng([27, sorted(WEIGHTINGS).index(kind)])
+    repeated = stale = 0
+    for n in (1, 2, 3):
+        game = mixed_size_game(rng, n, WEIGHTINGS[kind], stages=2)
+        x = random_initial_state(rng, game)
+        screen = search._StageOneScreen(game, x, 2)
+        coarse = {}
+        for resolution in (2, 4):
+            grid = pg.ProfileGrid(game, 2, resolution)
+            seen = set()
+            for _ in range(3):
+                draw = np.stack([rng.integers(0, c, size=40) for c in grid.cell_sizes], axis=1)
+                looked_up = screen.bounds(grid, draw)
+                assert looked_up.shape == (40, n)
+                keys = [tuple(row) for row in draw[:, grid.start_cells(x)].tolist()]
+                repeated += len(seen.intersection(keys))
+                seen.update(keys)
+                for r, key in enumerate(keys):
+                    own = screen.lower_bounds(grid.first_stage(draw[r : r + 1], x))[0].tobytes()
+                    assert looked_up[r].tobytes() == own, (n, resolution, r)
+                    if resolution == 2:
+                        coarse[key] = own
+                    else:
+                        stale += key in coarse and coarse[key] != own
+            # each combination drawn at the level is bounded once
+            assert len(screen._table) == len(seen)
+    assert repeated > 0 and stale > 0
+
+
+def test_reference_run_screens_each_start_combination_once(monkeypatch):
+    # the bundled reference at epsilon 1e-4, the ref-sampled benchmark run:
+    # its screened rows take 27 start-state combinations at resolution 2,
+    # and one pass on the start game bounds them all.  The certificate is
+    # the one without the screen.
+    cfg = cli.load_config(BUNDLED_CONFIG)
+    config = replace(cfg.search, epsilon=1e-4)
+    assert config.seed == 20250817
+    evaluate = search._evaluate
+    calls = collections.Counter()
+
+    def counting(on, dists, x, horizon, cutoff):
+        if on is not cfg.game:
+            calls["start"] += 1
+            calls["start rows"] += len(dists[0])
+        return evaluate(on, dists, x, horizon, cutoff)
+
+    monkeypatch.setattr(search, "_evaluate", counting)
+    screened = pg.search_equilibrium(cfg.game, cfg.initial_state, config)
+    assert screened.passed and screened.candidates_examined == 10583
+    assert calls["start"] == 1 and calls["start rows"] <= 27, calls
+    screen_off(monkeypatch)
+    assert_same_certificate(screened, pg.search_equilibrium(cfg.game, cfg.initial_state, config))
 
 
 def test_screen_leaves_every_certificate_unchanged(monkeypatch):
