@@ -27,10 +27,13 @@ derives its verdict itself, is the result, and both agree bit for bit.
 A level's rows come in draws, and each draw is certified in chunks, in
 draw order.  Both sizes come from the one working-set bound
 ``_BLOCK_ELEMENTS`` (``_block_sizes``): a chunk is sized by the widest
-opponent-tuple vector the pass weighs, a draw by the start-state tuples the
-stage-1 screen weighs, so on a wide game a draw holds many chunks.  Once
-the search has a finite cutoff, the screen bounds every pending row of the
-draw at once.  With the start state fixed, every player's stage-1
+opponent-tuple vector the pass weighs, a draw by the widest one the
+stage-1 screen weighs on the start game, so on a wide game a draw holds
+many chunks.  Before the search has a cutoff, a draw of more than one
+chunk certifies its first row alone, and that row's worst gap screens the
+rest of it; a draw of one chunk is certified in one call.  Once the search
+has a finite cutoff, the screen bounds every pending row of the draw at
+once.  With the start state fixed, every player's stage-1
 deviation gain, less a bound on how far the discounted later stages can
 move (the largest payoff column spread times the Jensen bound on the
 stage's weight mass, ``criterion._continuation_spread``), is a lower bound
@@ -82,8 +85,8 @@ PASS_SLACK = 1e-12
 # The one working-set bound, at two widths (``_block_sizes``): a
 # certification chunk holds at most this many elements of the widest
 # opponent-tuple vector (rows x tuples), and a draw at most this many of
-# the stage-1 screen's start-state tuples (rows x tuples, summed over
-# players), whatever the game's width.
+# the widest start-game opponent-tuple vector the stage-1 screen weighs
+# (rows x tuples), whatever the game's width.
 _BLOCK_ELEMENTS = 2**14
 
 # A lattice holds at most this many entries (rows x actions), 128 MiB of
@@ -124,6 +127,10 @@ class SearchConfig:
             value = getattr(self, name)
             if not (_is_integer(value) and value >= low):
                 raise ValueError(f"{name}: must be an integer >= {low}, got {value}")
+        # a level within the budget is enumerated through numpy indices
+        most = int(np.iinfo(np.intp).max)
+        if self.max_candidates > most:
+            raise ValueError(f"max_candidates: must be at most {most}, got {self.max_candidates}")
         _check_tables(None, horizon=self.horizon)
 
     def resolve_horizon(self, game: ValidatedGame) -> int:
@@ -318,14 +325,16 @@ def _live_cells(game: ValidatedGame, x: tuple, horizon: int) -> np.ndarray:
 def _block_sizes(game: ValidatedGame) -> tuple[int, int]:
     """Rows per certification chunk and per draw, under ``_BLOCK_ELEMENTS``.
 
-    The pass weighs each player's full opponent-tuple vector, so a chunk is
-    sized by the widest one.  The screen weighs only the start-state
-    tuples, prod_{j != i} A_j for each player i, so a draw is sized by
-    their sum; it is never smaller than a chunk.
+    The pass weighs one player's full opponent-tuple vector at a time, so a
+    chunk is sized by the widest one.  The screen is the same pass on the
+    start game, whose opponent tuples are prod_{j != i} A_j for player i, so
+    a draw is sized by the widest of those by the same rule, and its
+    weighting calls stay within the bound even if every row of the draw is
+    a new start-state combination; a draw is never smaller than a chunk.
     """
     counts = game.action_counts
     widest = max(game.opponent_pair_count(i) for i in range(game.n))
-    screened = sum(math.prod(counts[:i] + counts[i + 1 :]) for i in range(game.n))
+    screened = max(math.prod(counts[:i] + counts[i + 1 :]) for i in range(game.n))
     rows = max(1, _BLOCK_ELEMENTS // widest)
     return rows, max(rows, _BLOCK_ELEMENTS // screened)
 
@@ -366,7 +375,7 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
     same numbers as ``m`` single draws; ``m`` never exceeds the draws the
     budget or the attempt cap has left, so the generator stops where
     per-draw sampling stops.  The sequence is thus the same for every
-    ``rows``.
+    ``rows``.  A draw whose rows are all new is yielded as drawn, uncopied.
     """
     cells = len(grid.cell_sizes)
     largest = max(grid.cell_sizes)
@@ -393,7 +402,9 @@ def _sampled_blocks(grid: ProfileGrid, rng: np.random.Generator, limit: int, row
                 visited.add(candidate)
                 fresh.append(r)
         produced += len(fresh)
-        if fresh:
+        if len(fresh) == m:
+            yield draws  # every row is new: no copy
+        elif fresh:
             yield draws[fresh]
 
 
@@ -563,10 +574,13 @@ def search_equilibrium(
     in draw order, and the first passing row's certificate is built from
     its own values.  ``initial_delta`` is rounded to a resolution once; an
     exhausted level doubles it, up to ``refinement_cap`` times (stopping
-    before a lattice too fine to build).  Once a cutoff exists, the stage-1
-    screen bounds a draw's pending rows once, evaluating only the
-    start-state combinations it has not bounded at this level; the rows it
-    rules out at the cutoff of the moment are counted but not certified.
+    before a lattice too fine to build).  The first draw, if it holds more
+    than one chunk, certifies its first row alone to set the cutoff.  Once a
+    cutoff exists, the stage-1 screen bounds a draw's pending rows once,
+    evaluating only the start-state combinations it has not bounded at this
+    level; the rows it rules out at the cutoff of the moment are counted but
+    not certified.  A draw holds at most ``_LATTICE_ENTRIES`` index entries
+    (rows x cells).
     Exhausting the levels returns the certificate of the first candidate
     with the smallest worst gap, with ``passed`` false; ``levels`` and
     ``stop`` say how far the search went.  A horizon whose index row
@@ -585,6 +599,8 @@ def search_equilibrium(
             f"above {_LATTICE_ENTRIES} entries; use a shorter horizon"
         )
     rows, draw_rows = _block_sizes(game)
+    # a draw holds at most as many index entries (rows x cells) as a lattice
+    draw_rows = min(draw_rows, max(1, _LATTICE_ENTRIES // cells))
     resolution = _resolution(config.initial_delta)
     rng = np.random.default_rng(config.seed)
     live = _live_cells(game, x, horizon)
@@ -627,7 +643,10 @@ def search_equilibrium(
                     if not len(pending):
                         break
                     bounds = bounds[rows:]  # the chunk's rows leave them below
-                chunk, pending = pending[:rows], pending[rows:]
+                # before any cutoff, a draw of several chunks certifies its
+                # first row alone, whose worst gap then screens the rest
+                size = 1 if best is None and len(draw) > rows else rows
+                chunk, pending = pending[:size], pending[size:]
                 # a chunk of the whole draw is the draw itself: no copy
                 candidates = draw if len(chunk) == len(draw) else draw[chunk]
                 values, best_values = _evaluate(game, grid.strategies(candidates), x, horizon, cutoff)

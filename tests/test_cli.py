@@ -4,6 +4,7 @@ import math
 import os
 import re
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from ptgames.marginals import _check_tables
 
 BUNDLED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartgrid.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 STAY_KERNEL = {"mode": "stationary", "probs": [[[1.0], [1.0]]]}
 
@@ -809,6 +811,29 @@ def test_solve_refuses_a_horizon_too_long_to_index(tmp_path, horizon):
     assert "Traceback" not in done.stderr
     assert f"solve: horizon {horizon} gives each profile" in done.stderr
     assert "use a shorter horizon" in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, budget", [("prosumer-wide", 10**40), ("bundled", 10**20)])
+def test_solve_refuses_a_budget_beyond_numpy_indices(tmp_path, config, budget):
+    # a budget above the largest numpy index would count a level of 2.3e34
+    # (six prosumers) or 7.6e12 (bundled) profiles as within it and
+    # enumerate it: refused with exit 2, no traceback, and in seconds
+    if config == "bundled":
+        doc = json.loads(BUNDLED_CONFIG.read_text())
+    else:
+        workloads = runpy.run_path(str(BENCHMARKS / "workloads.py"))
+        doc = json.loads(workloads["WORKLOADS"][config].config_text(workloads["DEFAULT_SEED"]))
+    doc["run"].update(max_candidates=budget, refinement_cap=6)
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "ptgames.cli", "solve", "--config", write_config(tmp_path, doc), "--out", out]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    started = time.perf_counter()
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - started < 10
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"run.max_candidates: must be at most {np.iinfo(np.intp).max}, got {budget}" in done.stderr
     assert not out.exists()
 
 

@@ -793,18 +793,27 @@ def test_grid_exhaust_workload_certifies_only_live_rows(monkeypatch, tmp_path):
     path.write_text(workloads["WORKLOADS"]["grid-exhaust"].config_text(workloads["DEFAULT_SEED"]))
     cfg = cli.load_config(path)
     evaluate = search._evaluate
-    rows = 0
+    screen = search._StageOneScreen.__init__
+    calls = collections.Counter()
 
     def counting(game, dists, x, horizon, cutoff=math.inf):
-        nonlocal rows
-        rows += len(dists[0])
+        calls["evaluate"] += 1
+        calls["rows"] += len(dists[0])
         return evaluate(game, dists, x, horizon, cutoff)
 
+    def building(self, *args):
+        calls["screen"] += 1
+        screen(self, *args)
+
     monkeypatch.setattr(search, "_evaluate", counting)
+    monkeypatch.setattr(search._StageOneScreen, "__init__", building)
     best = pg.search_equilibrium(cfg.game, cfg.initial_state, cfg.search)
     assert not best.passed
     assert (best.candidates_examined, best.mode) == (6561, "grid")
-    assert rows <= 729
+    # the live rows are one draw of one chunk: one call, and no cutoff
+    # exists before it, so no screen is built
+    assert calls["rows"] <= 729
+    assert calls["evaluate"] == 1 and calls["screen"] == 0, calls
 
 
 def test_benchmark_workloads_hold_their_pins(tmp_path, capsys):
@@ -872,6 +881,31 @@ def test_search_results_do_not_depend_on_block_size(monkeypatch, case):
         monkeypatch.setattr(search, "_block_sizes", lambda game: (chunk or rows, draw or draw_rows))
         assert_same_certificate(pg.search_equilibrium(game, x, config), default)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("case", [0, 8, len(BLOCK_CASES) - 1])
+def test_draws_hold_at_most_the_lattice_entries(monkeypatch, case):
+    # a long horizon makes wide index rows: a draw is cut to at most
+    # _LATTICE_ENTRIES index entries (rows x cells), here three rows, and
+    # the certificate is the uncapped run's (enumerated, sampled over two
+    # levels, and the reference instance; every lattice they build fits
+    # the smaller bound)
+    game, config = BLOCK_CASES[case]
+    x = (0,) * game.n
+    uncapped = pg.search_equilibrium(game, x, config)
+    entries = 3 * config.resolve_horizon(game) * sum(game.state_counts)
+    shapes = []
+    for name in ("_grid_blocks", "_sampled_blocks"):
+        def recording(*args, source=getattr(search, name)):
+            for draw in source(*args):
+                shapes.append(draw.shape)
+                yield draw
+
+        monkeypatch.setattr(search, name, recording)
+    monkeypatch.setattr(search, "_LATTICE_ENTRIES", entries)
+    assert_same_certificate(pg.search_equilibrium(game, x, config), uncapped)
+    assert max(rows for rows, _ in shapes) == 3
+    assert all(rows * cells <= entries for rows, cells in shapes)
 
 
 @pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
@@ -1113,6 +1147,33 @@ def test_screen_weighs_the_stage_pass_tuples_at_its_columns(kind, n, monkeypatch
 
 
 @pytest.mark.parametrize("kind", sorted(WEIGHTINGS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_screen_weighs_a_whole_draw_within_the_block_bound(kind, n, monkeypatch):
+    # every row of a draw may be a new start-state combination, so the
+    # screen may weigh the whole draw in one pass: each of its weighting
+    # calls holds at most _BLOCK_ELEMENTS elements (rows x tuples), and the
+    # widest fills more than half of it
+    rng = np.random.default_rng([n, 28, sorted(WEIGHTINGS).index(kind)])
+    game = mixed_size_game(rng, n, WEIGHTINGS[kind], stages=2)
+    _, draw_rows = search._block_sizes(game)
+    weigh = pg.WeightingFunction.__call__
+    sizes = []
+
+    def recording(self, probs):
+        sizes.append(np.size(probs))
+        return weigh(self, probs)
+
+    monkeypatch.setattr(pg.WeightingFunction, "__call__", recording)
+    x = random_initial_state(rng, game)
+    screen = search._StageOneScreen(game, x, 2)
+    grid = pg.ProfileGrid(game, 2, 4)
+    draw = np.stack([rng.integers(0, c, size=draw_rows) for c in grid.cell_sizes], axis=1)
+    screen.lower_bounds(grid.first_stage(draw, x))
+    assert len(sizes) == n
+    assert search._BLOCK_ELEMENTS // 2 < max(sizes) <= search._BLOCK_ELEMENTS, sizes
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTINGS))
 def test_screen_bounds_do_not_depend_on_the_draw(kind):
     # the search screens whole draws and drops rows chunk by chunk, so each
     # row's bound must have the same bits in a block of one as in any draw
@@ -1172,16 +1233,21 @@ def test_screen_table_matches_lower_bounds(kind):
 def test_reference_run_screens_each_start_combination_once(monkeypatch):
     # the bundled reference at epsilon 1e-4, the ref-sampled benchmark run:
     # its screened rows take 27 start-state combinations at resolution 2,
-    # and one pass on the start game bounds them all.  The certificate is
-    # the one without the screen.
+    # and one pass on the start game bounds them all.  The first draw's
+    # first row, certified alone, sets the cutoff that screens the rest of
+    # that draw, so few rows reach the full pass.  The certificate is the
+    # one without the screen.
     cfg = cli.load_config(BUNDLED_CONFIG)
     config = replace(cfg.search, epsilon=1e-4)
     assert config.seed == 20250817
     evaluate = search._evaluate
     calls = collections.Counter()
+    full = []
 
     def counting(on, dists, x, horizon, cutoff):
-        if on is not cfg.game:
+        if on is cfg.game:
+            full.append(len(dists[0]))
+        else:
             calls["start"] += 1
             calls["start rows"] += len(dists[0])
         return evaluate(on, dists, x, horizon, cutoff)
@@ -1190,6 +1256,7 @@ def test_reference_run_screens_each_start_combination_once(monkeypatch):
     screened = pg.search_equilibrium(cfg.game, cfg.initial_state, config)
     assert screened.passed and screened.candidates_examined == 10583
     assert calls["start"] == 1 and calls["start rows"] <= 27, calls
+    assert full[0] == 1 and len(full) <= 4 and sum(full) <= 650, full
     screen_off(monkeypatch)
     assert_same_certificate(screened, pg.search_equilibrium(cfg.game, cfg.initial_state, config))
 
@@ -1271,7 +1338,8 @@ def test_screen_lets_few_six_prosumer_rows_reach_the_pass(monkeypatch):
     screened = pg.search_equilibrium(game, (0,) * 6, config)
     assert screened.candidates_examined == 400
     assert rows <= 20
-    # one screen per draw of 85 rows, not one per 2-row chunk
-    assert calls["screen"] <= 5 and calls["evaluate"] <= 5, calls
+    # the 400 candidates are one draw of 512 rows or fewer: one screen
+    # call, not one per 2-row chunk
+    assert calls["screen"] == 1 and calls["evaluate"] <= 5, calls
     screen_off(monkeypatch)
     assert_same_certificate(screened, pg.search_equilibrium(game, (0,) * 6, config))
